@@ -49,7 +49,6 @@ from .errors import (
 from .geometry import (
     Domain,
     DyadicGrid,
-    OrientedEdge,
     boundary_edges,
     build_grid,
     contains,
@@ -99,7 +98,6 @@ __all__ = [
     "MonodromyDetected",
     "NewtonStalled",
     "NoConvergence",
-    "OrientedEdge",
     "OriginOnBoundary",
     "OutsideGrid",
     "PreimageCount",

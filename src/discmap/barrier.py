@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import MonodromyDetected, ProbeTooClose
-from .geometry import Domain, DyadicGrid
+from .geometry import Domain, DyadicGrid, spanning_fill
 
 Point = Tuple[float, float]
 
@@ -55,43 +55,6 @@ class LogBranch:
     closure_defect: float
 
 
-def _bfs_fill_nodes(
-    grid: DyadicGrid, start_row: int, increment
-) -> np.ndarray:
-    """Fill complex node values from start via arms; increment(a, b) rows."""
-    values = np.zeros(grid.node_count, dtype=complex)
-    seen = np.zeros(grid.node_count, dtype=bool)
-    seen[start_row] = True
-    frontier = np.array([start_row], dtype=np.int64)
-    while len(frontier):
-        nxt = []
-        for k in range(4):
-            targets = grid.neighbors[frontier, k]
-            ok = targets >= 0
-            if not ok.any():
-                continue
-            src = frontier[ok]
-            dst = targets[ok]
-            fresh = ~seen[dst]
-            if not fresh.any():
-                continue
-            src = src[fresh]
-            dst = dst[fresh]
-            # a node may be reached twice within one frontier sweep; keep
-            # the first writer so the fill stays a spanning tree
-            dst_unique, first = np.unique(dst, return_index=True)
-            src = src[first]
-            values[dst_unique] = values[src] + increment(src, dst_unique)
-            seen[dst_unique] = True
-            nxt.append(dst_unique)
-        frontier = np.concatenate(nxt) if nxt else np.array([], dtype=np.int64)
-    if not seen.all():
-        raise ValueError(
-            "grid nodes are not arm-connected at this level; refine the grid"
-        )
-    return values
-
-
 def log_branch(
     grid: DyadicGrid, probe: Point, basepoint: Optional[Tuple[int, int]] = None
 ) -> LogBranch:
@@ -114,22 +77,16 @@ def log_branch(
         row0 = int(np.argmin(pts[:, 0] ** 2 + pts[:, 1] ** 2))
         basepoint = (int(grid.nodes[row0, 0]), int(grid.nodes[row0, 1]))
     else:
-        row0 = grid.node_row(*basepoint)
+        row0 = int(grid.node_rows([basepoint])[0])
         if row0 < 0:
             raise ValueError(f"basepoint {basepoint} is not a grid node")
 
     # the fill starts from 0 at the basepoint, so adding the principal log
     # of the basepoint lifts the whole tree onto the intended branch
-    values = _bfs_fill_nodes(
-        grid, row0, lambda a, b: np.log(zq[b] / zq[a])
-    )
+    nb = grid.neighbors
+    values, closure = spanning_fill(nb, row0, np.log(zq[nb] / zq[:, None]))
     values += cmath.log(zq[row0])
 
-    pairs = grid.edge_pairs
-    defect = np.abs(
-        values[pairs[:, 1]] - values[pairs[:, 0]] - np.log(zq[pairs[:, 1]] / zq[pairs[:, 0]])
-    )
-    closure = float(defect.max()) if len(defect) else 0.0
     if closure > CLOSURE_TOL:
         raise MonodromyDetected(
             f"branch closure defect {closure:.3e} exceeds {CLOSURE_TOL:.1e}"

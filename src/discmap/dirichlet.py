@@ -45,12 +45,13 @@ class BoundaryData:
         grid = self.grid
         mask = np.zeros(grid.node_count, dtype=bool)
         vals = np.zeros(grid.node_count)
-        for (n1, n2), v in self.values.items():
-            row = grid.node_row(n1, n2)
-            if row < 0:
-                raise ValueError(f"({n1}, {n2}) is not a node of this grid")
-            mask[row] = True
-            vals[row] = v
+        keys = np.array(list(self.values), dtype=np.int64).reshape(-1, 2)
+        rows = grid.node_rows(keys)
+        if (rows < 0).any():
+            n1, n2 = keys[rows < 0][0]
+            raise ValueError(f"({n1}, {n2}) is not a node of this grid")
+        mask[rows] = True
+        vals[rows] = np.fromiter(self.values.values(), dtype=float, count=len(rows))
         missing = (~mask) & (~self.grid.interior)
         if missing.any():
             raise ValueError(

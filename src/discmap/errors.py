@@ -14,7 +14,8 @@ class DomainParseError(DiscmapError):
 
 
 class DegenerateGeometry(DiscmapError):
-    """Polygon is self-intersecting, not counterclockwise, or has no area."""
+    """Polygon is self-intersecting, has a spike or a repeated vertex, or
+    encloses zero area."""
 
 
 class EmptyInterior(DiscmapError):

@@ -1,12 +1,14 @@
 """Plane domains and the dyadic-square grids that cover them.
 
-A Domain is an open set: either a simple counterclockwise polygon or a
-disc.  ``build_grid`` collects every closed axis-aligned square of side
-2**-N (optionally shifted by a small lambda along both axes) that fits
-inside the domain.  The squares, their corner nodes and the oriented rim
-edges of the covered region are the combinatorial data the rest of the
-package computes on.  Lattice coordinates are kept as integers; floats
-appear only when a node is evaluated at n * 2**-N + shift.
+A Domain is an open set: either a simple polygon or a disc.  Polygon
+vertices may arrive in either order and are stored counterclockwise.
+``build_grid`` collects every closed axis-aligned square of side 2**-N
+(optionally shifted by a small lambda along both axes) that fits inside
+the domain.  The squares, their corner nodes and the oriented rim edges
+of the covered region are the combinatorial data the rest of the package
+computes on; ``spanning_fill`` integrates increments over them.  Lattice
+coordinates are kept as integers; floats appear only when a node is
+evaluated at n * 2**-N + shift.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,17 +68,6 @@ class Domain:
         return body
 
 
-class OrientedEdge(NamedTuple):
-    """One lattice edge of the covered region's rim, in integer coordinates.
-
-    Traversal follows the counterclockwise orientation of the single cell
-    that owns the edge, so the covered region stays on the left.
-    """
-
-    start: Tuple[int, int]
-    end: Tuple[int, int]
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise DomainParseError(msg)
@@ -107,6 +98,8 @@ def load_domain(spec: Mapping) -> Domain:
         pts = tuple(_as_point(v, "vertex") for v in verts)
         _require(len(pts) >= 3, "polygon needs at least 3 vertices")
         _validate_polygon(pts)
+        if _polygon_area2(pts) < 0.0:
+            pts = pts[:1] + pts[:0:-1]  # clockwise: reverse, vertex 0 first
         return Domain(kind="polygon", vertices=pts)
     if kind == "disc":
         center = _as_point(spec.get("center"), "disc center")
@@ -190,10 +183,8 @@ def _validate_polygon(verts: Tuple[Point, ...]) -> None:
     for i in range(n):
         if verts[i] == verts[(i + 1) % n]:
             raise DegenerateGeometry(f"repeated vertex at index {i}")
-    if _polygon_area2(verts) <= 0.0:
-        raise DegenerateGeometry(
-            "vertices must run counterclockwise around positive area"
-        )
+    if _polygon_area2(verts) == 0.0:
+        raise DegenerateGeometry("polygon encloses zero area")
     for i in range(n):
         a, b = verts[i], verts[(i + 1) % n]
         for j in range(i + 1, n):
@@ -375,14 +366,36 @@ def _contained_cells(
     return ok, n1lo, n2lo
 
 
+def _padded(occ: np.ndarray) -> np.ndarray:
+    """Cell occupancy with a one-cell empty border.
+
+    Entry [a + 1, b + 1] is window cell (a, b), so the four (nx+1, ny+1)
+    corner slices line up with the node window.
+    """
+    occp = np.zeros((occ.shape[0] + 2, occ.shape[1] + 2), dtype=bool)
+    occp[1:-1, 1:-1] = occ
+    return occp
+
+
+def _window_rows(table: np.ndarray, offset: Tuple[int, int], pairs) -> np.ndarray:
+    """Look up lattice pairs in a window table; -1 outside the window."""
+    idx = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    i1 = idx[:, 0] - offset[0]
+    i2 = idx[:, 1] - offset[1]
+    inside = (i1 >= 0) & (i1 < table.shape[0]) & (i2 >= 0) & (i2 < table.shape[1])
+    rows = np.full(len(idx), -1, dtype=np.int64)
+    rows[inside] = table[i1[inside], i2[inside]]
+    return rows
+
+
 @dataclass
 class DyadicGrid:
     """Covered region at one refinement level; immutable after construction.
 
     ``cells`` and ``nodes`` hold integer lattice coordinates sorted
-    lexicographically by (n2, n1).  Window arrays (occupancy, row lookup)
-    are offset by (n1lo, n2lo) and padded nowhere; callers go through the
-    lookup helpers instead of indexing them directly.
+    lexicographically by (n2, n1).  ``cell_rows`` and ``node_rows`` turn
+    lattice coordinates back into rows; the window tables behind them are
+    offset by (n1lo, n2lo) and private to this module.
     """
 
     domain: Domain
@@ -393,9 +406,8 @@ class DyadicGrid:
     interior: np.ndarray  # (V,) bool, corner of four cells
     neighbors: np.ndarray  # (V, 4) int64 rows W, E, S, N; -1 when absent
     cell_corners: np.ndarray  # (C, 4) int64 node rows SW, SE, NW, NE
-    _occ: np.ndarray
-    _cell_row: np.ndarray
-    _node_row: np.ndarray
+    _cell_row: np.ndarray  # cell window, -1 where no cell
+    _node_row: np.ndarray  # node window, one wider; -1 where no node
     _n1lo: int
     _n2lo: int
 
@@ -418,26 +430,15 @@ class DyadicGrid:
     def cell_centers(self) -> np.ndarray:
         return (self.cells + 0.5) * self.spacing + self.shift
 
-    def has_cell(self, n1: int, n2: int) -> bool:
-        i1 = n1 - self._n1lo
-        i2 = n2 - self._n2lo
-        if 0 <= i1 < self._occ.shape[0] and 0 <= i2 < self._occ.shape[1]:
-            return bool(self._occ[i1, i2])
-        return False
+    def cell_rows(self, pairs) -> np.ndarray:
+        """Rows of the cells whose lower-left corners are the (M, 2)
+        lattice pairs; -1 where no such cell exists."""
+        return _window_rows(self._cell_row, (self._n1lo, self._n2lo), pairs)
 
-    def cell_row(self, n1: int, n2: int) -> int:
-        i1 = n1 - self._n1lo
-        i2 = n2 - self._n2lo
-        if 0 <= i1 < self._occ.shape[0] and 0 <= i2 < self._occ.shape[1]:
-            return int(self._cell_row[i1, i2])
-        return -1
-
-    def node_row(self, n1: int, n2: int) -> int:
-        i1 = n1 - self._n1lo
-        i2 = n2 - self._n2lo
-        if 0 <= i1 < self._node_row.shape[0] and 0 <= i2 < self._node_row.shape[1]:
-            return int(self._node_row[i1, i2])
-        return -1
+    def node_rows(self, pairs) -> np.ndarray:
+        """Rows of the nodes at the (M, 2) lattice pairs; -1 where no such
+        node exists."""
+        return _window_rows(self._node_row, (self._n1lo, self._n2lo), pairs)
 
     def covers_point_interior(self, point: Point) -> bool:
         """True when the point is interior to the union of closed cells.
@@ -453,7 +454,7 @@ class DyadicGrid:
         i2 = math.floor(t2)
         xs = [i1 - 1, i1] if t1 == i1 else [i1]
         ys = [i2 - 1, i2] if t2 == i2 else [i2]
-        return all(self.has_cell(a, b) for a in xs for b in ys)
+        return bool((self.cell_rows([(a, b) for a in xs for b in ys]) >= 0).all())
 
     def locate(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Map (M, 2) float points to (cell rows, u, v) local coordinates.
@@ -470,68 +471,35 @@ class DyadicGrid:
         b2 = np.floor(t2).astype(np.int64)
         exact1 = t1 == b1
         exact2 = t2 == b2
-        rows = np.full(len(points), -1, dtype=np.int64)
-        n1 = np.empty_like(b1)
-        n2 = np.empty_like(b2)
-        # try the floor square, then its neighbors for points on lower faces
-        for d1, d2 in ((0, 0), (-1, 0), (0, -1), (-1, -1)):
-            cand1 = b1 + d1
-            cand2 = b2 + d2
-            usable = rows < 0
-            if d1 == -1:
-                usable &= exact1
-            if d2 == -1:
-                usable &= exact2
-            if not usable.any():
-                continue
-            i1 = cand1 - self._n1lo
-            i2 = cand2 - self._n2lo
-            inwin = (
-                (i1 >= 0)
-                & (i1 < self._occ.shape[0])
-                & (i2 >= 0)
-                & (i2 < self._occ.shape[1])
-            )
-            hit = usable & inwin
-            if not hit.any():
-                continue
-            occ_hit = np.zeros(len(points), dtype=bool)
-            occ_hit[hit] = self._occ[i1[hit], i2[hit]]
-            take = hit & occ_hit
-            rows[take] = self._cell_row[i1[take], i2[take]]
-            n1[take] = cand1[take]
-            n2[take] = cand2[take]
+        rows = self.cell_rows(np.column_stack([b1, b2]))
+        # a point missed by its floor square but lying on one of that
+        # square's lower faces may still sit in the neighbor across it
+        for d1, d2, on_face in ((-1, 0, exact1), (0, -1, exact2), (-1, -1, exact1 & exact2)):
+            todo = np.nonzero((rows < 0) & on_face)[0]
+            if len(todo):
+                rows[todo] = self.cell_rows(np.column_stack([b1[todo] + d1, b2[todo] + d2]))
         found = rows >= 0
+        corner = self.cells[rows[found]]
         u = np.zeros(len(points))
         v = np.zeros(len(points))
-        u[found] = t1[found] - n1[found]
-        v[found] = t2[found] - n2[found]
+        u[found] = t1[found] - corner[:, 0]
+        v[found] = t2[found] - corner[:, 1]
         return rows, u, v
 
     @cached_property
     def edge_pairs(self) -> np.ndarray:
         """Node-row pairs of every distinct cell edge, (E, 2)."""
-        occ = self._occ
-        nx, ny = occ.shape
-        occp = np.zeros((nx + 2, ny + 2), dtype=bool)
-        occp[1:-1, 1:-1] = occ
-        # masks over the node window (nx+1, ny+1); occp[a+1, b+1] is cell (a, b)
-        # horizontal edge from node (a, b) to (a+1, b): cell above or below it
-        ex_h = occp[1:, 1:] | occp[1:, :-1]
-        # vertical edge from node (a, b) to (a, b+1): cell right or left of it
-        ex_v = occp[1:, 1:] | occp[:-1, 1:]
-        pairs = []
+        occp = _padded(self._cell_row >= 0)
         node_row = self._node_row
-        ij = np.argwhere(ex_h)
-        if len(ij):
-            a = node_row[ij[:, 0], ij[:, 1]]
-            b = node_row[ij[:, 0] + 1, ij[:, 1]]
-            pairs.append(np.column_stack([a, b]))
-        ij = np.argwhere(ex_v)
-        if len(ij):
-            a = node_row[ij[:, 0], ij[:, 1]]
-            b = node_row[ij[:, 0], ij[:, 1] + 1]
-            pairs.append(np.column_stack([a, b]))
+        pairs = []
+        # node-window masks: the edge from node (a, b) to (a, b) + step
+        # exists when one of the two cells flanking it is present
+        for exists, (d1, d2) in (
+            (occp[1:, 1:] | occp[1:, :-1], (1, 0)),  # cell above or below
+            (occp[1:, 1:] | occp[:-1, 1:], (0, 1)),  # cell right or left
+        ):
+            i1, i2 = np.nonzero(exists)
+            pairs.append(np.column_stack([node_row[i1, i2], node_row[i1 + d1, i2 + d2]]))
         out = np.concatenate(pairs, axis=0)
         assert (out >= 0).all()  # a cell edge always joins two grid nodes
         return out
@@ -571,8 +539,7 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
     node_row = np.full((nx + 1, ny + 1), -1, dtype=np.int64)
     node_row[nidx[:, 1], nidx[:, 0]] = np.arange(len(nodes))
 
-    occp = np.zeros((nx + 2, ny + 2), dtype=bool)
-    occp[1:-1, 1:-1] = ok
+    occp = _padded(ok)
     interior2d = occp[:-1, :-1] & occp[1:, :-1] & occp[:-1, 1:] & occp[1:, 1:]
     i1n = nodes[:, 0] - n1lo
     i2n = nodes[:, 1] - n2lo
@@ -618,7 +585,6 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
         interior=interior,
         neighbors=neighbors,
         cell_corners=cell_corners,
-        _occ=ok,
         _cell_row=cell_row,
         _node_row=node_row,
         _n1lo=n1lo,
@@ -626,37 +592,75 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
     )
 
 
-def boundary_edges(grid: DyadicGrid) -> Tuple[OrientedEdge, ...]:
-    """Rim edges of the covered region, each owned by exactly one cell.
+def boundary_edges(grid: DyadicGrid) -> np.ndarray:
+    """Rim edges of the covered region as an (E, 2, 2) int64 array.
 
-    Opposite orientations of shared edges cancel, so what survives are
-    closed counterclockwise cycles; the sum of (end - start) over the
-    returned list is zero.
+    Entry [e] is [start, end], two lattice pairs (n1, n2).  Each edge is
+    owned by exactly one cell and runs counterclockwise around it, so the
+    covered region stays on the left.  Opposite orientations of shared
+    edges cancel, so what survives are closed counterclockwise cycles; the
+    sum of (end - start) over the array is zero.  Rows are sorted by
+    (start n2, start n1, end n2, end n1).
     """
-    occ = grid._occ
-    nx, ny = occ.shape
-    occp = np.zeros((nx + 2, ny + 2), dtype=bool)
-    occp[1:-1, 1:-1] = occ
-    n1lo, n2lo = grid._n1lo, grid._n2lo
-    edges = []
-    # node-window masks; occp[a+1, b+1] is cell (a, b)
-    # horizontal edge at lattice y = b from (a, b) to (a+1, b)
-    above = occp[1:, 1:]  # cell (a, b)
-    below = occp[1:, :-1]  # cell (a, b-1)
-    for i1, i2 in np.argwhere(above ^ below):
-        a, b = int(i1 + n1lo), int(i2 + n2lo)
-        if above[i1, i2]:
-            edges.append(OrientedEdge((a, b), (a + 1, b)))
-        else:
-            edges.append(OrientedEdge((a + 1, b), (a, b)))
-    # vertical edge at lattice x = a from (a, b) to (a, b+1)
-    right = occp[1:, 1:]  # cell (a, b)
-    left = occp[:-1, 1:]  # cell (a-1, b)
-    for i1, i2 in np.argwhere(right ^ left):
-        a, b = int(i1 + n1lo), int(i2 + n2lo)
-        if right[i1, i2]:
-            edges.append(OrientedEdge((a, b + 1), (a, b)))
-        else:
-            edges.append(OrientedEdge((a, b), (a, b + 1)))
-    edges.sort(key=lambda e: (e.start[1], e.start[0], e.end[1], e.end[0]))
-    return tuple(edges)
+    occp = _padded(grid._cell_row >= 0)
+    lo = np.array([grid._n1lo, grid._n2lo])
+    parts = []
+    # node-window masks; the edge from node (a, b) to (a, b) + step runs
+    # forward when the owning cell is the one above it (horizontal edge)
+    # or left of it (vertical edge), backward when it is the other one
+    for owner, other, step in (
+        (occp[1:, 1:], occp[1:, :-1], (1, 0)),  # above, below
+        (occp[:-1, 1:], occp[1:, 1:], (0, 1)),  # left, right
+    ):
+        i1, i2 = np.nonzero(owner ^ other)
+        forward = owner[i1, i2][:, None]
+        a = np.column_stack([i1, i2]) + lo
+        b = a + step
+        parts.append(np.stack([np.where(forward, a, b), np.where(forward, b, a)], axis=1))
+    edges = np.concatenate(parts)
+    order = np.lexsort((edges[:, 1, 0], edges[:, 1, 1], edges[:, 0, 0], edges[:, 0, 1]))
+    return edges[order]
+
+
+def spanning_fill(
+    neighbors: np.ndarray, start: int, increment: np.ndarray
+) -> Tuple[np.ndarray, float]:
+    """Integrate per-arm increments over a graph along a spanning tree.
+
+    Row r's arm k leads to row ``neighbors[r, k]`` (-1 when absent), and
+    stepping along it adds ``increment[r, k]``; entries at absent arms are
+    ignored.  ``start`` carries 0 and values spread breadth first.  Arms
+    are tried in column order and a row reached twice in one sweep keeps
+    its first writer, so the tree, and every value, is deterministic.
+    Returns the values and the closure: the worst
+    |value[dst] - value[src] - increment| over all arms, which stays at
+    rounding level exactly when the increments around every cycle sum to
+    zero.  Raises ValueError when some row cannot be reached.
+    """
+    values = np.zeros(len(neighbors), dtype=increment.dtype)
+    seen = np.zeros(len(neighbors), dtype=bool)
+    seen[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    while len(frontier):
+        nxt = []
+        for k in range(neighbors.shape[1]):
+            dst = neighbors[frontier, k]
+            fresh = dst >= 0
+            fresh[fresh] = ~seen[dst[fresh]]
+            if not fresh.any():
+                continue
+            dst, first = np.unique(dst[fresh], return_index=True)
+            src = frontier[fresh][first]
+            values[dst] = values[src] + increment[src, k]
+            seen[dst] = True
+            nxt.append(dst)
+        frontier = np.concatenate(nxt) if nxt else frontier[:0]
+    if not seen.all():
+        raise ValueError("graph is not connected at this level; refine the grid")
+    closure = 0.0
+    for k in range(neighbors.shape[1]):
+        src = np.nonzero(neighbors[:, k] >= 0)[0]
+        if len(src):
+            defect = np.abs(values[neighbors[src, k]] - values[src] - increment[src, k])
+            closure = max(closure, float(defect.max()))
+    return values, closure

@@ -18,25 +18,9 @@ import numpy as np
 
 from .dirichlet import DEFAULT_TOL, ScalarField, boundary_data, solve_dirichlet
 from .errors import ClosureFailure, OutsideGrid
-from .geometry import Domain, DyadicGrid, build_grid
+from .geometry import Domain, DyadicGrid, build_grid, spanning_fill
 
 Point = Tuple[float, float]
-
-
-def _cell_rows_at(grid: DyadicGrid, pairs: np.ndarray) -> np.ndarray:
-    """Row indices of the cells with the given lattice coordinates, -1 if
-    absent."""
-    i1 = pairs[:, 0] - grid._n1lo
-    i2 = pairs[:, 1] - grid._n2lo
-    rows = np.full(len(pairs), -1, dtype=np.int64)
-    ok = (
-        (i1 >= 0)
-        & (i1 < grid._cell_row.shape[0])
-        & (i2 >= 0)
-        & (i2 < grid._cell_row.shape[1])
-    )
-    rows[ok] = grid._cell_row[i1[ok], i2[ok]]
-    return rows
 
 
 def _cell_gradients(grid: DyadicGrid, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -62,63 +46,20 @@ def conjugate_on_cells(
     the one whose center lies nearest the origin; it carries value 0.
     """
     c = grid.cell_corners
-    east_rows = _cell_rows_at(grid, grid.cells + np.array([1, 0]))
-    north_rows = _cell_rows_at(grid, grid.cells + np.array([0, 1]))
-    west_rows = _cell_rows_at(grid, grid.cells - np.array([1, 0]))
-    south_rows = _cell_rows_at(grid, grid.cells - np.array([0, 1]))
-
+    # arms E, W, N, S; the first writer decides the spanning tree
+    arms = np.column_stack(
+        [grid.cell_rows(grid.cells + step) for step in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    )
     delta_e = -(values[c[:, 3]] - values[c[:, 1]])  # NE - SE across east edge
     delta_n = values[c[:, 3]] - values[c[:, 2]]  # NE - NW across north edge
+    # the reverse arm negates the increment stored on the far cell
+    increment = np.column_stack(
+        [delta_e, -delta_e[arms[:, 1]], delta_n, -delta_n[arms[:, 3]]]
+    )
 
     centers = grid.cell_centers()
     start = int(np.argmin(centers[:, 0] ** 2 + centers[:, 1] ** 2))
-
-    conj = np.zeros(grid.cell_count)
-    seen = np.zeros(grid.cell_count, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    # walking to a neighbor applies that arm's increment; the reverse arm
-    # negates the increment stored on the far cell
-    steps = (
-        (east_rows, lambda src, dst: delta_e[src]),
-        (west_rows, lambda src, dst: -delta_e[dst]),
-        (north_rows, lambda src, dst: delta_n[src]),
-        (south_rows, lambda src, dst: -delta_n[dst]),
-    )
-    while len(frontier):
-        nxt = []
-        for rows, inc in steps:
-            targets = rows[frontier]
-            ok = targets >= 0
-            if not ok.any():
-                continue
-            src = frontier[ok]
-            dst = targets[ok]
-            fresh = ~seen[dst]
-            if not fresh.any():
-                continue
-            src = src[fresh]
-            dst = dst[fresh]
-            dst_unique, first = np.unique(dst, return_index=True)
-            src = src[first]
-            conj[dst_unique] = conj[src] + inc(src, dst_unique)
-            seen[dst_unique] = True
-            nxt.append(dst_unique)
-        frontier = np.concatenate(nxt) if nxt else np.array([], dtype=np.int64)
-    if not seen.all():
-        raise ValueError(
-            "cell graph is not edge-connected at this level; refine the grid"
-        )
-
-    has_e = east_rows >= 0
-    has_n = north_rows >= 0
-    defect_e = np.abs(conj[east_rows[has_e]] - conj[has_e.nonzero()[0]] - delta_e[has_e])
-    defect_n = np.abs(conj[north_rows[has_n]] - conj[has_n.nonzero()[0]] - delta_n[has_n])
-    closure = 0.0
-    if len(defect_e):
-        closure = max(closure, float(defect_e.max()))
-    if len(defect_n):
-        closure = max(closure, float(defect_n.max()))
+    conj, closure = spanning_fill(arms, start, increment)
     return conj, closure, start
 
 

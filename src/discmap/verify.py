@@ -25,7 +25,7 @@ from .errors import (
     TooCoarse,
 )
 from .geometry import DyadicGrid, boundary_edges, build_grid
-from .mapping import ConformalMap, _bilinear, build_map, eval_derivative, eval_map
+from .mapping import ConformalMap, _bilinear, _cell_gradients, build_map, eval_derivative, eval_map
 
 Point = Tuple[float, float]
 
@@ -39,9 +39,7 @@ INTEGER_SLACK = 0.1
 def _rim_endpoints(grid: DyadicGrid) -> Tuple[np.ndarray, np.ndarray]:
     h = grid.spacing
     edges = boundary_edges(grid)
-    a = np.array([e.start for e in edges], dtype=float) * h + grid.shift
-    b = np.array([e.end for e in edges], dtype=float) * h + grid.shift
-    return a, b
+    return edges[:, 0] * h + grid.shift, edges[:, 1] * h + grid.shift
 
 
 def _sample_edges(
@@ -251,21 +249,12 @@ def conformality_residual(m: ConformalMap, grid: Optional[DyadicGrid] = None) ->
     halves per level on the disc.  Holomorphy violations injected globally
     (an anti-holomorphic field, say) still register at O(1)."""
     grid = grid or m.grid
-    h = grid.spacing
     inner = grid.interior[grid.cell_corners].all(axis=1)
-    c = grid.cell_corners[inner]
-    if not len(c):
+    if not inner.any():
         return 0.0
-    re, im = m.values.real, m.values.imag
-
-    def slopes(f):
-        fx = (f[c[:, 1]] + f[c[:, 3]] - f[c[:, 0]] - f[c[:, 2]]) / (2.0 * h)
-        fy = (f[c[:, 2]] + f[c[:, 3]] - f[c[:, 0]] - f[c[:, 1]]) / (2.0 * h)
-        return fx, fy
-
-    rx, ry = slopes(re)
-    ix, iy = slopes(im)
-    defect = np.abs(rx - iy) + np.abs(ry + ix)
+    rx, ry = _cell_gradients(grid, m.values.real)
+    ix, iy = _cell_gradients(grid, m.values.imag)
+    defect = (np.abs(rx - iy) + np.abs(ry + ix))[inner]
     scale = max_node_derivative(m)
     return float(defect.mean() / scale) if scale > 0 else float(defect.mean())
 

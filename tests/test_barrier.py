@@ -54,7 +54,7 @@ def test_distance_positive_at_rim_probes(square_grid):
 def test_log_branch_principal_value_at_origin(disc_grid):
     # probe (1, 0): the branch at the origin node is log(-1) = i pi
     br = log_branch(disc_grid, (1.0, 0.0))
-    row = disc_grid.node_row(0, 0)
+    row = disc_grid.node_rows([(0, 0)])[0]
     assert br.values[row] == 1j * math.pi
     assert br.closure_defect <= 1e-12
 
@@ -109,7 +109,7 @@ def test_weak_barrier_negative_everywhere(disc_grid):
 def test_weak_barrier_closed_form_at_origin(disc_grid):
     # L(origin) = i pi, so u(origin) = Re 1/(i pi - (A+1))
     bf = weak_barrier(disc_grid, (1.0, 0.0))
-    row = disc_grid.node_row(0, 0)
+    row = disc_grid.node_rows([(0, 0)])[0]
     a1 = bf.bound + 1.0
     assert bf.values[row] == pytest.approx(-a1 / (a1 * a1 + math.pi**2), abs=1e-14)
 

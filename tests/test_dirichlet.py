@@ -37,7 +37,7 @@ def test_single_free_node_closed_form():
     # sqrt(2)/4; the lone interior value is the mean of its four arms
     g = _tiny_grid()
     fld = solve_dirichlet(g, boundary_data(g))
-    center = g.node_row(0, 0)
+    center = g.node_rows([(0, 0)])[0]
     assert fld.values[center] == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
@@ -62,7 +62,7 @@ def test_solver_keeps_prescribed_values_exact():
     data = boundary_data(g)
     fld = solve_dirichlet(g, data)
     for (n1, n2), v in data.values.items():
-        assert fld.values[g.node_row(n1, n2)] == v
+        assert fld.values[g.node_rows([(n1, n2)])[0]] == v
 
 
 def test_discrete_harmonic_data_reproduced_exactly():
@@ -116,8 +116,9 @@ def test_pinned_interior_node_held_fixed():
     g = build_grid(load_domain({"type": "disc", "center": [0, 0], "radius": 1.0}), 3)
     data = boundary_data_from_function(g, lambda x, y: 1.0, pins={(0, 0): 0.0})
     fld = solve_dirichlet(g, data)
-    assert fld.values[g.node_row(0, 0)] == 0.0
-    assert fld.constrained[g.node_row(0, 0)]
+    row = g.node_rows([(0, 0)])[0]
+    assert fld.values[row] == 0.0
+    assert fld.constrained[row]
 
 
 def test_energy_of_constant_field_is_zero():

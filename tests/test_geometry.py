@@ -14,10 +14,13 @@ from discmap import (
     EmptyGrid,
     boundary_edges,
     build_grid,
+    build_map,
     contains,
     load_domain,
+    map_csv,
     normalize_origin,
 )
+from discmap.geometry import spanning_fill
 
 DISC = {"type": "disc", "center": [0.0, 0.0], "radius": 1.0}
 SQUARE = {
@@ -75,6 +78,17 @@ def test_load_domain_rejects_repeated_vertex():
     spec = {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 0], [0, 1]]}
     with pytest.raises(DegenerateGeometry):
         load_domain(spec)
+
+
+def test_load_domain_accepts_clockwise_polygon():
+    ccw = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
+    cw = [ccw[0]] + ccw[:0:-1]
+    specs = [{"type": "polygon", "vertices": v} for v in (ccw, cw)]
+    assert load_domain(specs[1]) == load_domain(specs[0])
+    csvs = [map_csv(build_map(normalize_origin(load_domain(s)), 5)) for s in specs]
+    assert csvs[1] == csvs[0]
+    with pytest.raises(DegenerateGeometry):
+        load_domain({"type": "polygon", "vertices": [[0, 0], [1, 0], [2, 0]]})
 
 
 def test_contains_disc_points():
@@ -204,29 +218,30 @@ def test_boundary_edges_form_closed_cycles():
     for spec in (DISC, SQUARE):
         g = build_grid(load_domain(spec), 3)
         edges = boundary_edges(g)
+        assert edges.shape[1:] == (2, 2)
+        edges = [(tuple(start), tuple(end)) for start, end in edges.tolist()]
         starts = {}
-        for e in edges:
-            assert e.start != e.end
-            starts.setdefault(e.start, 0)
-            starts[e.start] += 1
+        for start, end in edges:
+            assert start != end
+            starts.setdefault(start, 0)
+            starts[start] += 1
         ends = {}
-        for e in edges:
-            ends.setdefault(e.end, 0)
-            ends[e.end] += 1
+        for start, end in edges:
+            ends.setdefault(end, 0)
+            ends[end] += 1
         assert starts == ends  # every cycle closes
 
 
 def test_boundary_edges_keep_region_on_left():
     g = build_grid(load_domain(SQUARE), 3)
-    for e in boundary_edges(g):
-        (a1, a2), (b1, b2) = e.start, e.end
+    for (a1, a2), (b1, b2) in boundary_edges(g).tolist():
         d1, d2 = b1 - a1, b2 - a2
         # the owning cell sits to the left of the traversal direction
         if d2 == 0:
             left1, left2 = min(a1, b1), (a2 if d1 == 1 else a2 - 1)
         else:
             left1, left2 = (a1 - 1 if d2 == 1 else a1), min(a2, b2)
-        assert g.has_cell(left1, left2)
+        assert g.cell_rows([(left1, left2)])[0] >= 0
 
 
 def test_boundary_edges_wind_once_around_origin():
@@ -235,9 +250,9 @@ def test_boundary_edges_wind_once_around_origin():
     for spec in (SQUARE, DISC):
         g = build_grid(load_domain(spec), 3)
         total = 0.0
-        for e in boundary_edges(g):
-            a = complex(*e.start)
-            b = complex(*e.end)
+        for start, end in boundary_edges(g).tolist():
+            a = complex(*start)
+            b = complex(*end)
             total += cmath.phase(b / a)
         assert total / (2.0 * math.pi) == pytest.approx(1.0, abs=1e-12)
 
@@ -248,7 +263,7 @@ def test_locate_and_covers_point():
     assert g.covers_point_interior((0.0, 0.0))
     assert not g.covers_point_interior((2.0, 0.0))
     rows, u, v = g.locate(np.array([[h / 3, h / 3], [2.0, 0.0]]))
-    assert rows[0] == g.cell_row(0, 0)
+    assert rows[0] == g.cell_rows([(0, 0)])[0]
     assert rows[1] == -1
     assert u[0] == pytest.approx(1.0 / 3.0)
     assert v[0] == pytest.approx(1.0 / 3.0)
@@ -259,3 +274,44 @@ def test_describe_roundtrip():
     desc = d.describe()
     again = load_domain(desc)
     assert again.vertices == d.vertices
+
+
+def test_cell_and_node_rows_match_brute_force():
+    ell = {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}
+    g = build_grid(normalize_origin(load_domain(ell)), 4, shift=2.0**-4 / 3)
+    for lookup, coords in ((g.cell_rows, g.cells), (g.node_rows, g.nodes)):
+        table = {tuple(p): row for row, p in enumerate(coords.tolist())}
+        # a box reaching past the lattice window on all four sides
+        lo = coords.min(axis=0) - 6
+        hi = coords.max(axis=0) + 6
+        a, b = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1))
+        pairs = np.column_stack([a.ravel(), b.ravel()])
+        expected = [table.get(tuple(p), -1) for p in pairs.tolist()]
+        assert lookup(pairs).tolist() == expected
+        mid = (lo + hi) // 2
+        far = [
+            (lo[0] - 1000, mid[1]),
+            (hi[0] + 1000, mid[1]),
+            (mid[0], lo[1] - 1000),
+            (mid[0], hi[1] + 1000),
+        ]
+        assert lookup(far).tolist() == [-1, -1, -1, -1]
+
+
+def test_spanning_fill_rejects_disconnected_graph():
+    two_pairs = np.array([[1, -1], [0, -1], [3, -1], [2, -1]])
+    with pytest.raises(ValueError):
+        spanning_fill(two_pairs, 0, np.ones((4, 2)))
+
+
+def test_spanning_fill_reports_cycle_defect():
+    ring = np.array([[1, 3], [2, 0], [3, 1], [0, 2]])  # arms: next, previous
+    potential = np.array([0.0, 1.5, -2.0, 4.0])
+    values, closure = spanning_fill(ring, 2, potential[ring] - potential[:, None])
+    assert values.tolist() == (potential - potential[2]).tolist()
+    assert closure == 0.0
+    # +1 per step around the ring sums to 4, not 0; the tree from row 0
+    # leaves the arms between rows 2 and 3 off by exactly 4
+    values, closure = spanning_fill(ring, 0, np.array([[1.0, -1.0]] * 4))
+    assert values.tolist() == [0.0, 1.0, 2.0, -1.0]
+    assert closure == 4.0
