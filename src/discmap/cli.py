@@ -132,6 +132,7 @@ def _cmd_solve(cfg: RunConfig) -> List[str]:
         "cells": m.grid.cell_count,
         "nodes": m.grid.node_count,
         "solver_residual": m.potential.residual,
+        "solver_iterations": m.potential.iterations,
         "closure_residual": m.closure_residual,
         "energy": dirichlet_energy(m.grid, m.potential),
         "boundary_modulus": {

@@ -31,7 +31,8 @@ class OriginOnBoundary(DiscmapError):
 
 
 class NoConvergence(DiscmapError):
-    """Iterative linear solve hit its iteration cap before the tolerance."""
+    """Iterative linear solve stopped short of its tolerance, or its result
+    failed the residual check."""
 
 
 class ProbeTooClose(DiscmapError):

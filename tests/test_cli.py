@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
+from discmap import dirichlet
 from discmap.cli import main
 
 DISC = '{"type": "disc", "center": [0.0, 0.0], "radius": 1.0}'
@@ -157,6 +159,21 @@ def test_exit_two_on_bad_input(tmp_path):
     assert _run("solve", "--domain", str(unknown), "--out", out) == 2
     assert _run("solve", "--out", out) == 2  # --domain required
     assert not os.path.exists(out)
+
+
+def test_exit_three_when_solver_result_fails_gate(disc_file, tmp_path, monkeypatch):
+    # cg reports success with a wrong solution; the residual gate catches it
+    monkeypatch.setattr(dirichlet, "cg", lambda a, b, **kwargs: (np.zeros_like(b), 0))
+    out = str(tmp_path / "x")
+    assert _run("solve", "--domain", disc_file, "--level", "4", "--out", out) == 3
+    assert not os.path.exists(out)
+
+
+def test_summary_records_solver_iterations(disc_file, tmp_path):
+    out = tmp_path / "iters"
+    assert _run("solve", "--domain", disc_file, "--level", "6", "--out", str(out)) == 0
+    iterations = json.loads((out / "summary.json").read_text())["solver_iterations"]
+    assert isinstance(iterations, int) and 1 <= iterations <= 20
 
 
 def test_exit_two_when_grid_empty(tmp_path):

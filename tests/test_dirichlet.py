@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import spsolve
 
 from discmap import (
+    NoConvergence,
     OriginOnBoundary,
     boundary_data,
     boundary_data_from_function,
@@ -15,10 +18,12 @@ from discmap import (
     check_max_principle,
     dirichlet_energy,
     load_domain,
+    normalize_origin,
     perron_iterate,
     punctured_disc_profile,
     solve_dirichlet,
 )
+from discmap import dirichlet
 from discmap.dirichlet import DEFAULT_TOL, field_csv
 
 TINY_SQUARE = {
@@ -207,3 +212,100 @@ def test_field_csv_shape_and_content():
     row = int(np.argmin(np.abs(g.node_points()[:, 0] - x) + np.abs(g.node_points()[:, 1] - y)))
     assert v == fld.values[row]
     assert "np.float64" not in text
+
+
+# the preconditioned solve on systems large enough for a real hierarchy
+
+DISC = {"type": "disc", "center": [0.0, 0.0], "radius": 1.0}
+ELL = {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}
+
+
+def _pcg_case(name):
+    if name == "punctured":
+        g = build_grid(load_domain(DISC), 6)
+        return g, boundary_data_from_function(g, lambda x, y: 1.0, pins={(0, 0): 0.0})
+    spec, shift = {
+        "disc": (DISC, 0.0),
+        "disc_shifted": (DISC, 2.0**-6 / 16),
+        "ell": (ELL, 0.0),
+        "ell_shifted": (ELL, 2.0**-6 / 16),
+    }[name]
+    g = build_grid(normalize_origin(load_domain(spec)), 6, shift)
+    return g, boundary_data(g)
+
+
+def _reference_system(g, mask, vals):
+    # the five-point equations at free nodes, built edge by edge
+    free = np.flatnonzero(g.interior & ~mask)
+    col = {int(r): i for i, r in enumerate(free)}
+    entries = []  # (row, column, coefficient)
+    rhs = np.zeros(len(free))
+    for i, r in enumerate(free):
+        entries.append((i, i, 4.0))
+        for q in g.neighbors[r]:
+            if int(q) in col:
+                entries.append((i, col[int(q)], -1.0))
+            else:
+                rhs[i] += vals[q]
+    rows, cols, coef = zip(*entries)
+    a = csc_matrix((coef, (rows, cols)), shape=(len(free), len(free)))
+    return free, a, rhs
+
+
+PCG_CASES = ("disc", "disc_shifted", "ell", "ell_shifted", "punctured")
+
+
+@pytest.mark.parametrize("name", PCG_CASES)
+def test_preconditioned_solve_matches_direct_solve(name):
+    g, data = _pcg_case(name)
+    fld = solve_dirichlet(g, data)
+    mask, vals = data.arrays()
+    free, a, rhs = _reference_system(g, mask, vals)
+    assert len(free) > 16 * dirichlet.COARSEST_SIZE  # two levels or more
+    assert np.abs(fld.values[free] - spsolve(a, rhs)).max() <= 1e-9
+    assert 1 <= fld.iterations <= 20
+
+
+@pytest.mark.parametrize("name", PCG_CASES)
+def test_v_cycle_is_symmetric_positive_definite(name):
+    g, data = _pcg_case(name)
+    mask, vals = data.arrays()
+    free = np.flatnonzero(g.interior & ~mask)
+    a, _ = dirichlet._assemble(g, free, vals)
+    v_cycle = dirichlet._v_cycle(a, g.nodes[free])
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        u, v = rng.normal(size=(2, len(free)))
+        vu, vv = v_cycle.matvec(u), v_cycle.matvec(v)
+        assert abs(u @ vv - v @ vu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(vv)
+        assert u @ vu > 0.0
+
+
+def test_small_system_is_one_exact_step():
+    # below the coarsest size the V-cycle is the splu solve itself
+    g = build_grid(load_domain(DISC), 3)
+    assert int(g.interior.sum()) <= dirichlet.COARSEST_SIZE
+    assert solve_dirichlet(g, boundary_data(g)).iterations == 1
+
+
+def _stub_cg(info):
+    # stands in for scipy's cg: always hands back x = 0 with this status
+    def fake(a, b, **kwargs):
+        return np.zeros_like(b), info
+
+    return fake
+
+
+def test_no_convergence_on_cg_status(monkeypatch):
+    g = build_grid(load_domain(DISC), 4)
+    monkeypatch.setattr(dirichlet, "cg", _stub_cg(1))
+    with pytest.raises(NoConvergence, match="status 1"):
+        solve_dirichlet(g, boundary_data(g))
+
+
+def test_no_convergence_on_residual_gate(monkeypatch):
+    # cg claims success but hands back a wrong solution
+    g = build_grid(load_domain(DISC), 4)
+    monkeypatch.setattr(dirichlet, "cg", _stub_cg(0))
+    with pytest.raises(NoConvergence, match="mean-value residual"):
+        solve_dirichlet(g, boundary_data(g))
