@@ -83,8 +83,8 @@ class RunConfig:
             raise ValueError(f"radius must be in (0, 1), got {self.radius}")
         if self.probes < 1:
             raise ValueError(f"probe count must be at least 1, got {self.probes}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if self.shift is not None and not 0.0 <= self.shift < 2.0**-self.level:
             raise ValueError(
                 f"grid shift must lie in [0, {2.0 ** -self.level!r}), "

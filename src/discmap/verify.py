@@ -1,13 +1,14 @@
 """Bijectivity verification for the assembled disc map.
 
 The count of preimages of a value w inside the covered region equals the
-winding number of the image of the region's rim around w.  The rim is a
-union of closed oriented edge cycles; summing principal argument
-increments of H - w over a sampled traversal of every edge telescopes to
-the total winding regardless of edge order.  When a sample comes
-suspiciously close to w the whole construction is redone on a shifted
-grid, since a preimage sitting on the rim makes the count ill-defined;
-the final acceptance rule is closeness of the raw winding to an integer.
+winding number of the image of the region's rim around w.  H is linear
+along every lattice edge under bilinear interpolation, so the rim image
+is exactly the closed polygon through the rim node values, and its
+winding is a sum of one principal angle per rim edge, with no sampling.
+When some rim segment passes within its own length of w the whole
+construction is redone on a shifted grid, since a preimage sitting on
+the rim makes the count ill-defined; the final acceptance rule is
+closeness of the raw winding to an integer.
 """
 
 from __future__ import annotations
@@ -24,33 +25,24 @@ from .errors import (
     OutsideGrid,
     TooCoarse,
 )
-from .geometry import DyadicGrid, boundary_edges, build_grid
-from .mapping import ConformalMap, _bilinear, _cell_gradients, build_map, eval_derivative, eval_map
+from .geometry import DyadicGrid, boundary_edges
+from .mapping import ConformalMap, _cell_gradients, build_map, eval_derivative, eval_map
 
 Point = Tuple[float, float]
 
 RIM_SAMPLES = 8
-MAX_EDGE_SAMPLES = 64
-HAZARD_FACTOR = 10.0
 MAX_SHIFT_ATTEMPTS = 5
 INTEGER_SLACK = 0.1
 
 
-def _rim_endpoints(grid: DyadicGrid) -> Tuple[np.ndarray, np.ndarray]:
-    h = grid.spacing
+def _rim_polygon(m: ConformalMap, grid: DyadicGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """H at the start and end node of every rim edge, two (E,) arrays.
+
+    Segment e of the rim image runs from the first value to the second;
+    together the segments form the closed polygon the rim maps onto.
+    """
     edges = boundary_edges(grid)
-    return edges[:, 0] * h + grid.shift, edges[:, 1] * h + grid.shift
-
-
-def _sample_edges(
-    m: ConformalMap, a: np.ndarray, b: np.ndarray, samples: int
-) -> np.ndarray:
-    """H along the open edges a->b at samples+1 points each, (E, samples+1)."""
-    t = np.linspace(0.0, 1.0, samples + 1)
-    pts = a[:, None, :] * (1.0 - t)[None, :, None] + b[:, None, :] * t[None, :, None]
-    flat = pts.reshape(-1, 2)
-    vals = _bilinear(m.grid, m.values, flat)
-    return vals.reshape(len(a), samples + 1)
+    return m.values[grid.node_rows(edges[:, 0])], m.values[grid.node_rows(edges[:, 1])]
 
 
 def max_node_derivative(m: ConformalMap) -> float:
@@ -60,45 +52,22 @@ def max_node_derivative(m: ConformalMap) -> float:
     return float(np.abs(deriv).max())
 
 
-@dataclass
-class WindingTrace:
-    raw: float
-    min_distance: float
-    unresolved_edges: int  # edges still turning > pi/2 per step at the cap
+def _winding(a: np.ndarray, b: np.ndarray, w: complex) -> Tuple[float, bool]:
+    """Raw winding of the rim polygon about w, and the hazard flag.
 
-
-def _winding(m: ConformalMap, w: complex) -> WindingTrace:
-    """Raw winding of the rim image about w with adaptive edge sampling.
-
-    Every edge starts at RIM_SAMPLES subdivisions; an edge whose sampled
-    argument increments exceed pi/2 anywhere is resampled at double
-    density up to MAX_EDGE_SAMPLES.  Each edge contributes the sum of
-    principal increments from its own start to end, so cycle order never
-    matters.
+    A segment a->b that misses w subtends an angle below pi there, so its
+    principal angle Arg((b - w)/(a - w)) is its exact contribution and
+    segment order never matters.  The hazard fires when w lies closer to
+    some segment than that segment's length |b - a|: the shifted lattices
+    of the ladder move the rim by up to about one cell, and one rim cell's
+    image there has side about |b - a|, so a w that close may change side
+    under a shift and its count is not trusted without one.
     """
-    a, b = _rim_endpoints(m.grid)
-    contributions = np.zeros(len(a))
-    min_dist = math.inf
-    pending = np.arange(len(a))
-    samples = RIM_SAMPLES
-    unresolved = 0
-    while len(pending):
-        vals = _sample_edges(m, a[pending], b[pending], samples) - w
-        min_dist = min(min_dist, float(np.abs(vals).min()))
-        darg = np.diff(np.angle(vals), axis=1)
-        darg = (darg + math.pi) % (2.0 * math.pi) - math.pi
-        contributions[pending] = darg.sum(axis=1)
-        coarse = np.abs(darg).max(axis=1) > 0.5 * math.pi
-        if samples >= MAX_EDGE_SAMPLES:
-            unresolved = int(coarse.sum())
-            break
-        pending = pending[coarse]
-        samples *= 2
-    return WindingTrace(
-        raw=float(contributions.sum() / (2.0 * math.pi)),
-        min_distance=min_dist,
-        unresolved_edges=unresolved,
-    )
+    raw = float(np.angle((b - w) / (a - w)).sum() / (2.0 * math.pi))
+    d = b - a
+    length = np.abs(d)
+    t = np.clip(((w - a) * d.conj()).real / length**2, 0.0, 1.0)
+    return raw, bool((np.abs(a + t * d - w) < length).any())
 
 
 @dataclass
@@ -106,10 +75,13 @@ class ModulusReport:
     """Deviation of |H| from 1 along the covered region's rim.
 
     Node statistics cover the rim nodes, where the boundary data pins
-    |H| = 1 exactly and only rounding remains.  Path statistics sample
-    the interpolated H along the rim edges, where the deviation is a real
-    discretization error that shrinks under refinement; the count
-    preconditions use the path numbers for that reason.
+    |H| = 1 exactly and only rounding remains.  Path statistics take
+    RIM_SAMPLES + 1 evenly spaced points on each segment of the rim
+    polygon, the exact image of the rim under the interpolated H; there
+    the deviation is a real discretization error that shrinks under
+    refinement, and the count preconditions use the path numbers for that
+    reason.  With both segment ends on |H| = 1 the segment's least modulus
+    is at its midpoint, which is one of the points taken.
     """
 
     node_max: float
@@ -124,14 +96,12 @@ class ModulusReport:
         return 2.0 * self.path_max
 
 
-def boundary_modulus_report(
-    m: ConformalMap, grid: Optional[DyadicGrid] = None
+def _modulus_report(
+    m: ConformalMap, grid: DyadicGrid, a: np.ndarray, b: np.ndarray
 ) -> ModulusReport:
-    grid = grid or m.grid
-    rim = ~grid.interior
-    node_dev = np.abs(np.abs(m.values[rim]) - 1.0)
-    a, b = _rim_endpoints(grid)
-    path_mod = np.abs(_sample_edges(m, a, b, RIM_SAMPLES)).ravel()
+    node_dev = np.abs(np.abs(m.values[~grid.interior]) - 1.0)
+    t = np.linspace(0.0, 1.0, RIM_SAMPLES + 1)
+    path_mod = np.abs(a[:, None] * (1.0 - t) + b[:, None] * t).ravel()
     path_dev = np.abs(path_mod - 1.0)
     return ModulusReport(
         node_max=float(node_dev.max()),
@@ -143,6 +113,13 @@ def boundary_modulus_report(
     )
 
 
+def boundary_modulus_report(
+    m: ConformalMap, grid: Optional[DyadicGrid] = None
+) -> ModulusReport:
+    grid = grid or m.grid
+    return _modulus_report(m, grid, *_rim_polygon(m, grid))
+
+
 @dataclass
 class PreimageCount:
     w: complex
@@ -150,7 +127,7 @@ class PreimageCount:
     raw: float
     shift: float
     attempts: int
-    hazard: bool  # proximity alarm still present on the final attempt
+    hazard: bool  # w still within a rim segment's length on the final attempt
     distance: float  # |raw - count|
 
 
@@ -177,16 +154,19 @@ def count_preimages(
     beyond modulus 1 is admitted only when it exceeds every rim-path
     modulus, in which case the winding is still computed and comes out 0.
 
-    A sampled rim point within 10 * spacing * max|H'| of w triggers the
+    The raw winding is that of the rim polygon about w.  A w closer to
+    some rim segment than that segment's image length triggers the
     shifted-grid ladder: the construction is redone with the grid origin
     at (shift, shift), shift starting at spacing/16 and halving, at most
-    MAX_SHIFT_ATTEMPTS times, stopping early once no alarm fires.  The
-    accepted count is the rounded raw winding provided the raw value sits
-    within INTEGER_SLACK of an integer; otherwise IndeterminateWinding.
+    MAX_SHIFT_ATTEMPTS times, stopping early once no segment is that
+    close.  The accepted count is the rounded raw winding provided the raw
+    value sits within INTEGER_SLACK of an integer; otherwise
+    IndeterminateWinding.
     """
     grid = grid or m.grid
     w = complex(w)
-    mod = boundary_modulus_report(m, grid)
+    a, b = _rim_polygon(m, grid)
+    mod = _modulus_report(m, grid, a, b)
     margin = mod.margin
     aw = abs(w)
     if aw >= 1.0 - margin:
@@ -202,33 +182,28 @@ def count_preimages(
             f"least rim modulus {mod.path_min_modulus:.4f}; refine the level"
         )
 
-    threshold = HAZARD_FACTOR * grid.spacing * max_node_derivative(m)
-    current = m
     shift_used = grid.shift
     attempts = 0
-    trace = _winding(current, w)
-    hazard = trace.min_distance < threshold or trace.unresolved_edges > 0
+    raw, hazard = _winding(a, b, w)
     next_shift = grid.spacing / 16.0
     while hazard and attempts < MAX_SHIFT_ATTEMPTS:
         attempts += 1
         shift_used = next_shift
         next_shift /= 2.0
         current = _rebuild(m, shift_used, cache)
-        trace = _winding(current, w)
-        threshold = HAZARD_FACTOR * current.grid.spacing * max_node_derivative(current)
-        hazard = trace.min_distance < threshold or trace.unresolved_edges > 0
+        raw, hazard = _winding(*_rim_polygon(current, current.grid), w)
 
-    count = int(round(trace.raw))
-    distance = abs(trace.raw - count)
+    count = int(round(raw))
+    distance = abs(raw - count)
     if distance > INTEGER_SLACK:
         raise IndeterminateWinding(
-            f"raw winding {trace.raw:.4f} for w = {w} is {distance:.3f} from "
+            f"raw winding {raw:.4f} for w = {w} is {distance:.3f} from "
             f"an integer after {attempts} grid shifts"
         )
     return PreimageCount(
         w=w,
         count=count,
-        raw=trace.raw,
+        raw=raw,
         shift=shift_used,
         attempts=attempts,
         hazard=hazard,
@@ -403,6 +378,8 @@ class VerificationReport:
                     "count": p.count,
                     "raw": p.raw,
                     "shifted": p.attempts > 0,
+                    "attempts": p.attempts,
+                    "hazard": p.hazard,
                 }
                 for p in self.probe_results
             ]

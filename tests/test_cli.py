@@ -80,6 +80,10 @@ def test_verify_writes_report(square_file, tmp_path):
     counts = {tuple(p["w"]): p.get("count") for p in rep["probes"]}
     assert counts[(0.0, 0.0)] == 1
     assert counts[(1.1, 0.0)] == 0
+    for p in rep["probes"]:
+        assert isinstance(p["attempts"], int)
+        assert isinstance(p["hazard"], bool)
+        assert p["shifted"] == (p["attempts"] > 0)
 
 
 def test_verify_rerun_byte_identical(square_file, tmp_path):
@@ -144,6 +148,8 @@ def test_exit_two_on_config_guards(disc_file, tmp_path):
     assert _run("verify", "--domain", disc_file, "--radius", "1.5", "--out", out) == 2
     assert _run("verify", "--domain", disc_file, "--probes", "0", "--out", out) == 2
     assert _run("solve", "--domain", disc_file, "--tol", "0", "--out", out) == 2
+    assert _run("solve", "--domain", disc_file, "--tol", "nan", "--out", out) == 2
+    assert _run("solve", "--domain", disc_file, "--tol", "inf", "--out", out) == 2
     assert not os.path.exists(out)
 
 

@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import DOMAIN_NAMES
 from discmap import (
     NewtonStalled,
     ScalarField,
     TooCoarse,
     assemble_map,
     bijectivity_sweep,
+    boundary_edges,
     boundary_modulus_report,
     conformality_residual,
     count_preimages,
@@ -22,6 +24,13 @@ from discmap import (
 from discmap.dirichlet import DEFAULT_TOL
 from discmap.mapping import eval_map
 from discmap.verify import max_node_derivative
+
+CLI_PROBES = (0j, 1.1 + 0j, -1.1 + 0j, 1.1j, -1.1j)
+
+
+def _rim_segments(m):
+    edges = boundary_edges(m.grid)
+    return m.values[m.grid.node_rows(edges[:, 0])], m.values[m.grid.node_rows(edges[:, 1])]
 
 
 def test_boundary_modulus_node_values_pinned(map_for):
@@ -84,6 +93,10 @@ def test_count_rejects_rim_band_probe(map_for):
     below_band = complex(rep.path_min_modulus - rep.margin / 2.0, 0.0)
     with pytest.raises(TooCoarse):
         count_preimages(m, None, below_band)
+    # a w on the rim polygon itself never reaches the winding
+    a, b = _rim_segments(m)
+    with pytest.raises(TooCoarse):
+        count_preimages(m, None, complex((a[0] + b[0]) / 2.0))
 
 
 def test_count_band_narrows_under_refinement(map_for):
@@ -105,6 +118,40 @@ def test_preimage_count_reports_ladder_metadata(map_for):
     assert res.attempts <= 5
     assert res.shift >= 0.0
     assert res.raw == pytest.approx(res.count, abs=res.distance + 1e-15)
+
+
+@pytest.mark.parametrize("level", (6, 7))
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_cli_probes_count_without_ladder(map_for, name, level):
+    # each probe lies farther from every rim segment than the segment's
+    # length (tightest: the ell at N=6, ratio 1.058), so nothing is rebuilt
+    cache = {}
+    results = [count_preimages(map_for(name, level), None, w, cache=cache) for w in CLI_PROBES]
+    assert [r.count for r in results] == [1, 0, 0, 0, 0]
+    assert [(r.attempts, r.hazard) for r in results] == [(0, False)] * 5
+    assert not cache
+
+
+def test_ladder_fires_near_a_rim_segment(map_for):
+    # half a segment length inside the longest rim segment of the ell:
+    # |w| is about 0.83, clear of the modulus band, yet the hazard fires
+    m = map_for("ell", 6)
+    a, b = _rim_segments(m)
+    k = int(np.argmax(np.abs(b - a)))
+    mid = (a[k] + b[k]) / 2.0
+    w = complex(mid - 0.5 * abs(b[k] - a[k]) * mid / abs(mid))
+    res = count_preimages(m, None, w)
+    assert res.attempts >= 1
+    assert res.count == 1
+
+
+def test_rim_report_needs_no_point_location(map_for):
+    # under this shift a point placed on a rim edge by its coordinates can
+    # round outside the covered region, so rim statistics must not locate
+    # points
+    m = map_for("offset_disc", 6, 0.3 * 2.0**-6)
+    assert boundary_modulus_report(m).path_max < 0.01
+    assert count_preimages(m, None, 0j).count == 1
 
 
 def test_shift_ladder_rebuild_cache_shared(map_for):
