@@ -35,6 +35,14 @@ MAX_SHIFT_ATTEMPTS = 5
 INTEGER_SLACK = 0.1
 
 
+def _own_grid(m: ConformalMap, grid: Optional[DyadicGrid]) -> DyadicGrid:
+    """The map's grid; ``grid`` may only be None or that same grid, since
+    node rows index ``m.values``."""
+    if grid is not None and grid is not m.grid:
+        raise ValueError("grid must be the map's own grid")
+    return m.grid
+
+
 def _rim_polygon(m: ConformalMap, grid: DyadicGrid) -> Tuple[np.ndarray, np.ndarray]:
     """H at the start and end node of every rim edge, two (E,) arrays.
 
@@ -116,7 +124,7 @@ def _modulus_report(
 def boundary_modulus_report(
     m: ConformalMap, grid: Optional[DyadicGrid] = None
 ) -> ModulusReport:
-    grid = grid or m.grid
+    grid = _own_grid(m, grid)
     return _modulus_report(m, grid, *_rim_polygon(m, grid))
 
 
@@ -163,7 +171,7 @@ def count_preimages(
     value sits within INTEGER_SLACK of an integer; otherwise
     IndeterminateWinding.
     """
-    grid = grid or m.grid
+    grid = _own_grid(m, grid)
     w = complex(w)
     a, b = _rim_polygon(m, grid)
     mod = _modulus_report(m, grid, a, b)
@@ -223,7 +231,7 @@ def conformality_residual(m: ConformalMap, grid: Optional[DyadicGrid] = None) ->
     layer occupies an O(2^-N) fraction of the cells and the averaged defect
     halves per level on the disc.  Holomorphy violations injected globally
     (an anti-holomorphic field, say) still register at O(1)."""
-    grid = grid or m.grid
+    grid = _own_grid(m, grid)
     inner = grid.interior[grid.cell_corners].all(axis=1)
     if not inner.any():
         return 0.0
@@ -242,7 +250,7 @@ def inverse_map(m: ConformalMap, grid: Optional[DyadicGrid], w: complex) -> Poin
     region.  Succeeds at |H(z) - w| <= 1e-6 within 50 steps, else raises
     NewtonStalled carrying the best iterate.
     """
-    grid = grid or m.grid
+    grid = _own_grid(m, grid)
     w = complex(w)
     start = int(np.argmin(np.abs(m.values - w)))
     pt = grid.node_points()[start]
@@ -319,7 +327,7 @@ def bijectivity_sweep(
     iteration; their preimages (inside the covered region by
     construction) are reported alongside the sweep.
     """
-    grid = grid or m.grid
+    grid = _own_grid(m, grid)
     rng = np.random.default_rng(seed)
     rad = radius * np.sqrt(rng.uniform(0.0, 1.0, probes))
     ang = rng.uniform(0.0, 2.0 * math.pi, probes)

@@ -20,7 +20,8 @@ from discmap import (
     map_csv,
     normalize_origin,
 )
-from discmap.geometry import spanning_fill
+from discmap import geometry
+from discmap.geometry import _contained_cells, _inside_lattice, _inside_many, spanning_fill
 
 DISC = {"type": "disc", "center": [0.0, 0.0], "radius": 1.0}
 SQUARE = {
@@ -70,13 +71,13 @@ def test_load_domain_rejects_zero_radius():
 
 def test_load_domain_rejects_self_intersection():
     bowtie = {"type": "polygon", "vertices": [[0, 0], [1, 1], [1, 0], [0, 1]]}
-    with pytest.raises(DegenerateGeometry):
+    with pytest.raises(DegenerateGeometry, match="^polygon encloses zero area$"):
         load_domain(bowtie)
 
 
 def test_load_domain_rejects_repeated_vertex():
     spec = {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 0], [0, 1]]}
-    with pytest.raises(DegenerateGeometry):
+    with pytest.raises(DegenerateGeometry, match="^repeated vertex at index 1$"):
         load_domain(spec)
 
 
@@ -87,8 +88,38 @@ def test_load_domain_accepts_clockwise_polygon():
     assert load_domain(specs[1]) == load_domain(specs[0])
     csvs = [map_csv(build_map(normalize_origin(load_domain(s)), 5)) for s in specs]
     assert csvs[1] == csvs[0]
-    with pytest.raises(DegenerateGeometry):
+    with pytest.raises(DegenerateGeometry, match="^polygon encloses zero area$"):
         load_domain({"type": "polygon", "vertices": [[0, 0], [1, 0], [2, 0]]})
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        # pairs (1, 5) and (2, 4) cross; the first in (i, j) order is named
+        (
+            [[0, 3], [1, 0], [2, 3], [3, 0], [3, 1], [2, 0]],
+            "edges 1 and 5 intersect; polygon must be simple",
+        ),
+        # the spike 3 -> 4 folds back inside edge 2, whose span holds vertex 4
+        (
+            [[0, 0], [4, 0], [4, 3], [1, 3], [3, 3]],
+            "edges 2 and 4 intersect; polygon must be simple",
+        ),
+    ],
+)
+def test_load_domain_rejection_messages(vertices, message):
+    with pytest.raises(DegenerateGeometry, match=f"^{message}$"):
+        load_domain({"type": "polygon", "vertices": vertices})
+
+
+def test_intersection_found_in_a_later_block():
+    # 600 edges take several row blocks; swapping two vertices makes edge
+    # 299 the first to cross another
+    t = np.arange(600) * (2.0 * math.pi / 600)
+    verts = np.column_stack([np.cos(t), np.sin(t)])
+    verts[[300, 450]] = verts[[450, 300]]
+    with pytest.raises(DegenerateGeometry, match="^edges 299 and 450 intersect"):
+        load_domain({"type": "polygon", "vertices": verts.tolist()})
 
 
 def test_contains_disc_points():
@@ -315,3 +346,109 @@ def test_spanning_fill_reports_cycle_defect():
     values, closure = spanning_fill(ring, 0, np.array([[1.0, -1.0]] * 4))
     assert values.tolist() == [0.0, 1.0, 2.0, -1.0]
     assert closure == 4.0
+
+
+def _inside_reference(domain, xv, yv):
+    gx, gy = np.meshgrid(xv, yv, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    return _inside_many(domain, pts).reshape(len(xv), len(yv))
+
+
+def _clear_squares_reference(ok, domain, xs, ys, h):
+    """Every polygon edge tested against the whole window of squares."""
+    nx, ny = ok.shape
+    x0 = xs[:-1][:, None] + np.zeros((1, ny))
+    y0 = ys[:-1][None, :] + np.zeros((nx, 1))
+    x1 = x0 + h
+    y1 = y0 + h
+    verts = domain.vertices
+    m = len(verts)
+    for i in range(m):
+        px_, py_ = verts[i]
+        qx_, qy_ = verts[(i + 1) % m]
+        overlap = (
+            (np.maximum(px_, qx_) >= x0)
+            & (np.minimum(px_, qx_) <= x1)
+            & (np.maximum(py_, qy_) >= y0)
+            & (np.minimum(py_, qy_) <= y1)
+        )
+        dx = qx_ - px_
+        dy = qy_ - py_
+        s00 = dx * (y0 - py_) - dy * (x0 - px_)
+        s10 = dx * (y0 - py_) - dy * (x1 - px_)
+        s01 = dx * (y1 - py_) - dy * (x0 - px_)
+        s11 = dx * (y1 - py_) - dy * (x1 - px_)
+        all_pos = (s00 > 0) & (s10 > 0) & (s01 > 0) & (s11 > 0)
+        all_neg = (s00 < 0) & (s10 < 0) & (s01 < 0) & (s11 < 0)
+        ok &= ~(overlap & ~(all_pos | all_neg))
+
+
+def _star(seed, n):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * (2.0 * math.pi / n)
+    modes = rng.choice(np.arange(2, 9), size=3, replace=False)
+    amps = rng.uniform(0.02, 0.06, 3)[:, None]
+    r = 1.0 + (amps * np.cos(np.outer(modes, t) + rng.uniform(0, 2 * math.pi, 3)[:, None])).sum(0)
+    verts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    return normalize_origin(load_domain({"type": "polygon", "vertices": verts.tolist()}))
+
+
+STARS = {"star96": (0, 96), "star240": (1, 240), "star384": (2, 384)}
+LATTICE_DOMAINS = {
+    # edges on lattice lines, and a diagonal through lattice nodes
+    "ell": {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]},
+    "square": SQUARE,
+    "triangle": {"type": "polygon", "vertices": [[-1, -1], [1, -1], [-1, 1]]},
+    "offset_disc": {"type": "disc", "center": [0.3, 0.0], "radius": 1.0},
+    # thin notches that miss every corner and midpoint at level 5: one tip
+    # lies inside a square, the other touches a square's lower side
+    "notches": {
+        "type": "polygon",
+        "vertices": [
+            [-1, -1], [-0.45, -1], [-0.4, 0], [-0.35, -1], [1, -1],
+            [1, 0.05], [0.1, 0.06], [1, 0.07], [1, 1], [-1, 1],
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, level, sixteenths",
+    [("star96", 7, 0), ("star96", 7, 1), ("star240", 6, 0), ("star384", 6, 1)]
+    + [(name, 5, 0) for name in LATTICE_DOMAINS]
+    + [("triangle", 6, 0), ("triangle", 6, 1)],
+)
+def test_scanline_containment_matches_reference(monkeypatch, name, level, sixteenths):
+    if name in STARS:
+        domain = _star(*STARS[name])
+    else:
+        domain = load_domain(LATTICE_DOMAINS[name])
+    h = 2.0**-level
+    shift = sixteenths * h / 16
+    ok, n1lo, n2lo = _contained_cells(domain, level, shift)
+    xs = np.arange(n1lo, n1lo + ok.shape[0] + 1) * h + shift
+    ys = np.arange(n2lo, n2lo + ok.shape[1] + 1) * h + shift
+    xm = xs[:-1] + 0.5 * h
+    ym = ys[:-1] + 0.5 * h
+    masks = []
+    for xv, yv in ((xs, ys), (xm, ys), (xs, ym)):
+        expected = _inside_reference(domain, xv, yv)
+        assert np.array_equal(_inside_lattice(domain, xv, yv), expected)
+        masks.append(expected)
+    corner, mid_x, mid_y = masks
+    if name == "triangle" and sixteenths == 0:
+        on_diagonal = xs[:, None] + ys[None, :] == 0.0
+        assert on_diagonal[1:-1, 1:-1].any() and not corner[on_diagonal].any()
+    ref = (
+        corner[:-1, :-1] & corner[1:, :-1] & corner[:-1, 1:] & corner[1:, 1:]
+        & mid_x[:, :-1] & mid_x[:, 1:] & mid_y[:-1, :] & mid_y[1:, :]
+    )
+    if domain.kind == "polygon":
+        _clear_squares_reference(ref, domain, xs, ys, h)
+    assert np.array_equal(ok, ref)
+
+    grid = build_grid(domain, level, shift)
+    monkeypatch.setattr(geometry, "_contained_cells", lambda *args: (ref, n1lo, n2lo))
+    expected = build_grid(domain, level, shift)
+    for field in ("cells", "nodes", "interior", "neighbors", "cell_corners"):
+        assert np.array_equal(getattr(grid, field), getattr(expected, field)), field

@@ -276,3 +276,20 @@ def test_verification_report_collects_probe_failures(map_for):
     w, msg = out.probe_failures[0]
     assert w == bad
     assert "TooCoarse" in msg
+
+
+def test_foreign_grid_is_rejected(map_for):
+    # node rows of another grid do not index this map's values
+    m5, m4 = map_for("disc", 5), map_for("disc", 4)
+    calls = (
+        lambda: count_preimages(m5, m4.grid, 0j),
+        lambda: boundary_modulus_report(m5, m4.grid),
+        lambda: conformality_residual(m5, m4.grid),
+        lambda: inverse_map(m5, m4.grid, 0.3),
+        lambda: bijectivity_sweep(m5, m4.grid, probes=1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^grid must be the map's own grid$"):
+            call()
+    assert count_preimages(m5, m5.grid, 0j).count == 1
+    assert count_preimages(m5, None, 0j).count == 1
