@@ -41,7 +41,6 @@ class BoundaryData:
 
     grid: DyadicGrid
     values: Dict[Node, float]
-    tag: str = "custom"
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """(constrained mask, full-length value array, zeros elsewhere)."""
@@ -86,7 +85,7 @@ def boundary_data(grid: DyadicGrid) -> BoundaryData:
         (int(n1), int(n2)): float(v)
         for (n1, n2), v in zip(grid.nodes[rim], vals)
     }
-    return BoundaryData(grid=grid, values=entries, tag="log_distance")
+    return BoundaryData(grid=grid, values=entries)
 
 
 def boundary_data_from_function(
@@ -104,7 +103,7 @@ def boundary_data_from_function(
     if pins:
         for node, v in pins.items():
             entries[node] = float(v)
-    return BoundaryData(grid=grid, values=entries, tag="custom")
+    return BoundaryData(grid=grid, values=entries)
 
 
 @dataclass

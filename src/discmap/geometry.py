@@ -9,11 +9,14 @@ edges, not with their product: an even-odd scanline fill classifies
 every corner and edge-midpoint lattice point from each row's edge
 crossings, and each polygon edge is then tested only against the squares
 in its overlap window, those whose boxes meet the edge's bounding box.
-The squares, their corner nodes and the oriented rim edges of the
-covered region are the combinatorial data the rest of the package
-computes on; ``spanning_fill`` integrates increments over them.  Lattice
-coordinates are kept as integers; floats appear only when a node is
-evaluated at n * 2**-N + shift.
+The squares, their corner nodes, the arms between nodes and the oriented
+rim edges of the covered region are the combinatorial data the rest of
+the package computes on; ``spanning_fill`` integrates increments over
+them.  All of it follows from one corner-cell rule: each lattice point
+sees the four cells around it, a point is a node when one of them is
+present, and a lattice segment is a cell edge when one of the two cells
+flanking it is present.  Lattice coordinates are kept as integers;
+floats appear only when a node is evaluated at n * 2**-N + shift.
 """
 
 from __future__ import annotations
@@ -469,15 +472,26 @@ def _contained_cells(
     return ok, n1lo, n2lo
 
 
-def _padded(occ: np.ndarray) -> np.ndarray:
-    """Cell occupancy with a one-cell empty border.
+def _corner_cells(occ: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The cells around every lattice point, as four node-window masks.
 
-    Entry [a + 1, b + 1] is window cell (a, b), so the four (nx+1, ny+1)
-    corner slices line up with the node window.
+    ``occ`` is a cell window; the node window is one wider, and its entry
+    (a, b) is the lower-left corner of cell (a, b).  Masks sw, se, nw and
+    ne tell whether the cell south-west, south-east, north-west or
+    north-east of node (a, b) is present: cell (a-1, b-1), (a, b-1),
+    (a-1, b) or (a, b).  Outside the cell window no cell is present.
     """
-    occp = np.zeros((occ.shape[0] + 2, occ.shape[1] + 2), dtype=bool)
-    occp[1:-1, 1:-1] = occ
-    return occp
+    p = np.zeros((occ.shape[0] + 2, occ.shape[1] + 2), dtype=bool)
+    p[1:-1, 1:-1] = occ
+    return p[:-1, :-1], p[1:, :-1], p[:-1, 1:], p[1:, 1:]
+
+
+def _window_index(mask: np.ndarray) -> np.ndarray:
+    """Window table numbering the entries of ``mask`` 0, 1, ... in (n2, n1)
+    order, which is the C order of ``mask.T``; -1 where mask is False."""
+    table = np.full(mask.shape, -1, dtype=np.int64)
+    table.T[mask.T] = np.arange(np.count_nonzero(mask))
+    return table
 
 
 def _window_rows(table: np.ndarray, offset: Tuple[int, int], pairs) -> np.ndarray:
@@ -498,7 +512,10 @@ class DyadicGrid:
     ``cells`` and ``nodes`` hold integer lattice coordinates sorted
     lexicographically by (n2, n1).  ``cell_rows`` and ``node_rows`` turn
     lattice coordinates back into rows; the window tables behind them are
-    offset by (n1lo, n2lo) and private to this module.
+    offset by (n1lo, n2lo) and private to this module.  A node is a corner
+    of one to four cells, and its arm toward a neighbor exists when one of
+    the two cells flanking that lattice segment is present; a node is
+    interior when all four cells are.
     """
 
     domain: Domain
@@ -591,18 +608,14 @@ class DyadicGrid:
 
     @cached_property
     def edge_pairs(self) -> np.ndarray:
-        """Node-row pairs of every distinct cell edge, (E, 2)."""
-        occp = _padded(self._cell_row >= 0)
-        node_row = self._node_row
+        """Node-row pairs of every distinct cell edge, (E, 2): the east
+        arms, then the north arms, each in window (n1, n2) order."""
+        row = self._node_row
+        order = row[row >= 0]  # node rows in (n1, n2) order
         pairs = []
-        # node-window masks: the edge from node (a, b) to (a, b) + step
-        # exists when one of the two cells flanking it is present
-        for exists, (d1, d2) in (
-            (occp[1:, 1:] | occp[1:, :-1], (1, 0)),  # cell above or below
-            (occp[1:, 1:] | occp[:-1, 1:], (0, 1)),  # cell right or left
-        ):
-            i1, i2 = np.nonzero(exists)
-            pairs.append(np.column_stack([node_row[i1, i2], node_row[i1 + d1, i2 + d2]]))
+        for k in (1, 3):  # east and north arms
+            far = self.neighbors[order, k]
+            pairs.append(np.column_stack([order[far >= 0], far[far >= 0]]))
         out = np.concatenate(pairs, axis=0)
         assert (out >= 0).all()  # a cell edge always joins two grid nodes
         return out
@@ -625,6 +638,12 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
     h / (1e-16 * edge length).  Each polygon edge is then tested only
     against the squares whose closed boxes meet its bounding box.  The
     result equals the point-by-point, edge-by-edge test bit for bit.
+
+    The tables follow from the four cells around each lattice point
+    (``_corner_cells``), under the corner-cell rule of ``DyadicGrid``.
+    Rows are numbered in (n2, n1) order, the C order of a transposed
+    window, so every per-node or per-cell table is a slice of the node
+    window read at the nodes or cells, with no per-row lookups.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -635,59 +654,25 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
     if not ok.any():
         raise EmptyGrid(f"no square of side 2**-{level} fits inside the domain")
 
-    idx = np.argwhere(ok.T)  # sorted by (n2, n1)
-    cells = np.column_stack([idx[:, 1] + n1lo, idx[:, 0] + n2lo]).astype(np.int64)
-    nx, ny = ok.shape
-    cell_row = np.full((nx, ny), -1, dtype=np.int64)
-    cell_row[idx[:, 1], idx[:, 0]] = np.arange(len(cells))
-
-    # node occupancy: corners of any cell; node window is one wider
-    nocc = np.zeros((nx + 1, ny + 1), dtype=bool)
-    nocc[:-1, :-1] |= ok
-    nocc[1:, :-1] |= ok
-    nocc[:-1, 1:] |= ok
-    nocc[1:, 1:] |= ok
-    nidx = np.argwhere(nocc.T)  # sorted by (n2, n1)
-    nodes = np.column_stack([nidx[:, 1] + n1lo, nidx[:, 0] + n2lo]).astype(np.int64)
-    node_row = np.full((nx + 1, ny + 1), -1, dtype=np.int64)
-    node_row[nidx[:, 1], nidx[:, 0]] = np.arange(len(nodes))
-
-    occp = _padded(ok)
-    interior2d = occp[:-1, :-1] & occp[1:, :-1] & occp[:-1, 1:] & occp[1:, 1:]
-    i1n = nodes[:, 0] - n1lo
-    i2n = nodes[:, 1] - n2lo
-    interior = interior2d[i1n, i2n]
-
-    # neighbor rows W, E, S, N; an arm exists only when the lattice segment
-    # between the nodes is the edge of some cell
-    nrp = np.full((nx + 3, ny + 3), -1, dtype=np.int64)
-    nrp[1:-1, 1:-1] = node_row
-    # node-window masks (nx+1, ny+1); occp[a+1, b+1] is cell (a, b).  The arm
-    # toward a neighbor exists when one of the two cells flanking it is present.
-    edge_w = occp[:-1, 1:] | occp[:-1, :-1]
-    edge_e = occp[1:, 1:] | occp[1:, :-1]
-    edge_s = occp[1:, :-1] | occp[:-1, :-1]
-    edge_n = occp[1:, 1:] | occp[:-1, 1:]
-    neighbors = np.full((len(nodes), 4), -1, dtype=np.int64)
-    west = nrp[i1n, i2n + 1]
-    east = nrp[i1n + 2, i2n + 1]
-    south = nrp[i1n + 1, i2n]
-    north = nrp[i1n + 1, i2n + 2]
-    neighbors[:, 0] = np.where(edge_w[i1n, i2n], west, -1)
-    neighbors[:, 1] = np.where(edge_e[i1n, i2n], east, -1)
-    neighbors[:, 2] = np.where(edge_s[i1n, i2n], south, -1)
-    neighbors[:, 3] = np.where(edge_n[i1n, i2n], north, -1)
-
-    i1c = cells[:, 0] - n1lo
-    i2c = cells[:, 1] - n2lo
-    cell_corners = np.column_stack(
-        [
-            node_row[i1c, i2c],
-            node_row[i1c + 1, i2c],
-            node_row[i1c, i2c + 1],
-            node_row[i1c + 1, i2c + 1],
-        ]
+    sw, se, nw, ne = _corner_cells(ok)
+    nocc = sw | se | nw | ne  # nodes: corners of any cell
+    cell_row = _window_index(ok)
+    node_row = _window_index(nocc)
+    i2, i1 = np.nonzero(ok.T)
+    cells = np.column_stack([i1 + n1lo, i2 + n2lo])
+    i2, i1 = np.nonzero(nocc.T)
+    nodes = np.column_stack([i1 + n1lo, i2 + n2lo])
+    interior = (sw & se & nw & ne).T[nocc.T]
+    # neighbor rows W, E, S, N: an arm exists when one of the two cells
+    # flanking it is present, so rows that np.roll wraps around the window
+    # land only where no arm exists
+    arms = ((nw | sw, 1, 0), (ne | se, -1, 0), (sw | se, 1, 1), (nw | ne, -1, 1))
+    neighbors = np.column_stack(
+        [np.where(arm, np.roll(node_row, step, axis), -1).T[nocc.T] for arm, step, axis in arms]
     )
+    # corner rows SW, SE, NW, NE of each cell
+    corners = (node_row[:-1, :-1], node_row[1:, :-1], node_row[:-1, 1:], node_row[1:, 1:])
+    cell_corners = np.column_stack([w.T[ok.T] for w in corners])
 
     return DyadicGrid(
         domain=domain,
@@ -715,19 +700,17 @@ def boundary_edges(grid: DyadicGrid) -> np.ndarray:
     sum of (end - start) over the array is zero.  Rows are sorted by
     (start n2, start n1, end n2, end n1).
     """
-    occp = _padded(grid._cell_row >= 0)
+    sw, se, nw, ne = _corner_cells(grid._cell_row >= 0)
     lo = np.array([grid._n1lo, grid._n2lo])
     parts = []
-    # node-window masks; the edge from node (a, b) to (a, b) + step runs
-    # forward when the owning cell is the one above it (horizontal edge)
-    # or left of it (vertical edge), backward when it is the other one
-    for owner, other, step in (
-        (occp[1:, 1:], occp[1:, :-1], (1, 0)),  # above, below
-        (occp[:-1, 1:], occp[1:, 1:], (0, 1)),  # left, right
-    ):
-        i1, i2 = np.nonzero(owner ^ other)
-        forward = owner[i1, i2][:, None]
-        a = np.column_stack([i1, i2]) + lo
+    # the edge from node (a, b) to (a, b) + step is on the rim when one
+    # flanking cell is present and the other is not; it runs forward when
+    # the present cell is the one above it (horizontal edge) or left of it
+    # (vertical edge)
+    for owner, other, step in ((ne, se, (1, 0)), (nw, ne, (0, 1))):
+        rim = owner ^ other
+        forward = owner[rim][:, None]
+        a = np.argwhere(rim) + lo
         b = a + step
         parts.append(np.stack([np.where(forward, a, b), np.where(forward, b, a)], axis=1))
     edges = np.concatenate(parts)

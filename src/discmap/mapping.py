@@ -12,7 +12,7 @@ origin, which makes H'(0) = exp(g(0)) real and positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ def _cell_gradients(grid: DyadicGrid, values: np.ndarray) -> Tuple[np.ndarray, n
 
 def conjugate_on_cells(
     grid: DyadicGrid, values: np.ndarray
-) -> Tuple[np.ndarray, float, int]:
+) -> Tuple[np.ndarray, float]:
     """Accumulate the conjugate at cell centers by flux path-integration.
 
     Stepping east between horizontally adjacent cells adds the difference
@@ -42,8 +42,8 @@ def conjugate_on_cells(
     -(top - bottom); stepping north adds +(right - left) across the shared
     horizontal edge.  These are the midpoint-rule increments of the
     conjugate differential.  Returns (cell values, worst loop-closure
-    defect over all adjacent pairs, start cell row).  The start cell is
-    the one whose center lies nearest the origin; it carries value 0.
+    defect over all adjacent pairs).  The cell whose center lies nearest
+    the origin carries value 0.
     """
     c = grid.cell_corners
     # arms E, W, N, S; the first writer decides the spanning tree
@@ -59,8 +59,7 @@ def conjugate_on_cells(
 
     centers = grid.cell_centers()
     start = int(np.argmin(centers[:, 0] ** 2 + centers[:, 1] ** 2))
-    conj, closure = spanning_fill(arms, start, increment)
-    return conj, closure, start
+    return spanning_fill(arms, start, increment)
 
 
 def harmonic_conjugate(grid: DyadicGrid, pot: ScalarField) -> ScalarField:
@@ -75,7 +74,7 @@ def harmonic_conjugate(grid: DyadicGrid, pot: ScalarField) -> ScalarField:
     ``ClosureFailure`` is raised when it exceeds 1e-6 * (1 + max|g|).
     """
     g = pot.values
-    conj, closure, _ = conjugate_on_cells(grid, g)
+    conj, closure = conjugate_on_cells(grid, g)
     bound = 1e-6 * (1.0 + float(np.abs(g).max()))
     if closure > bound:
         raise ClosureFailure(
@@ -123,10 +122,6 @@ class ConformalMap:
     @property
     def domain(self) -> Domain:
         return self.grid.domain
-
-    def boundary_rows(self) -> np.ndarray:
-        """Rows of the nodes on the covered region's rim."""
-        return np.where(~self.grid.interior)[0]
 
 
 def _node_slopes(grid: DyadicGrid, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

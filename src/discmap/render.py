@@ -8,7 +8,7 @@ identical maps render to identical bytes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -47,18 +47,18 @@ def _polyline_runs(grid: DyadicGrid, axis: int) -> List[np.ndarray]:
 
 def render_grid_image(
     m: ConformalMap,
-    grid: Optional[DyadicGrid] = None,
+    *,
     stroke: str = "#2060c0",
     circle_stroke: str = "#808080",
     stroke_width: float = 0.006,
 ) -> str:
-    """SVG of the unit circle and the H-images of the grid lines.
+    """SVG of the unit circle and the H-images of the map's grid lines.
 
     Polyline coordinates are the node samples of H verbatim (repr of the
     floats), wrapped in a y-flip so the mathematical orientation matches
-    the screen.  Stroke-only: no fills, no text, no metadata.
+    the screen.  Stroke-only: no fills, no text, no metadata.  The
+    styling arguments are keyword-only.
     """
-    grid = grid or m.grid
     parts = [_HEADER, '<g transform="matrix(1 0 0 -1 0 0)" fill="none">\n']
     parts.append(
         f'<circle cx="0" cy="0" r="1" stroke="{circle_stroke}" '
@@ -66,7 +66,7 @@ def render_grid_image(
     )
     vals = m.values
     for axis in (0, 1):
-        for run in _polyline_runs(grid, axis):
+        for run in _polyline_runs(m.grid, axis):
             if len(run) < 2:
                 continue
             pts = " ".join(

@@ -452,3 +452,98 @@ def test_scanline_containment_matches_reference(monkeypatch, name, level, sixtee
     expected = build_grid(domain, level, shift)
     for field in ("cells", "nodes", "interior", "neighbors", "cell_corners"):
         assert np.array_equal(getattr(grid, field), getattr(expected, field)), field
+
+
+ELL = {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}
+# two squares meeting only around the origin: at N=2..5 node (0, 0) is a
+# corner of cells (-1, -1) and (0, 0) alone
+PINCH = {
+    "type": "polygon",
+    "vertices": [
+        [-0.6, -0.6], [0.02, -0.6], [0.02, -0.02], [0.6, -0.02],
+        [0.6, 0.6], [-0.02, 0.6], [-0.02, 0.02], [-0.6, 0.02],
+    ],
+}
+
+
+def _around(n1, n2):
+    """Cells SW, SE, NW, NE of a lattice point."""
+    return (n1 - 1, n2 - 1), (n1, n2 - 1), (n1 - 1, n2), (n1, n2)
+
+
+def _corners(a, b):
+    """Corners SW, SE, NW, NE of a cell."""
+    return (a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)
+
+
+def _tables_from_cells(cells):
+    """Every grid table rebuilt from the cell list with sets and dicts."""
+    have = set(cells)
+    nodes = sorted({p for c in cells for p in _corners(*c)}, key=lambda p: (p[1], p[0]))
+    row = {p: r for r, p in enumerate(nodes)}
+    interior = [all(c in have for c in _around(*p)) for p in nodes]
+    neighbors = []
+    for n1, n2 in nodes:
+        sw, se, nw, ne = (c in have for c in _around(n1, n2))
+        arms = (
+            ((n1 - 1, n2), nw or sw),
+            ((n1 + 1, n2), ne or se),
+            ((n1, n2 - 1), sw or se),
+            ((n1, n2 + 1), nw or ne),
+        )
+        neighbors.append([row[q] if flank else -1 for q, flank in arms])
+    cell_corners = [[row[p] for p in _corners(*c)] for c in cells]
+    edge_pairs = []
+    for k, step in ((1, (1, 0)), (3, (0, 1))):  # east arms, then north arms
+        for p in sorted(nodes):  # (n1, n2) order
+            if neighbors[row[p]][k] >= 0:
+                edge_pairs.append([row[p], row[(p[0] + step[0], p[1] + step[1])]])
+    rim = []
+    for a, b in cells:
+        # counterclockwise around the cell, each with the cell across it
+        for start, end, across in (
+            ((a, b), (a + 1, b), (a, b - 1)),
+            ((a + 1, b), (a + 1, b + 1), (a + 1, b)),
+            ((a + 1, b + 1), (a, b + 1), (a, b + 1)),
+            ((a, b + 1), (a, b), (a - 1, b)),
+        ):
+            if across not in have:
+                rim.append([list(start), list(end)])
+    rim.sort(key=lambda e: (e[0][1], e[0][0], e[1][1], e[1][0]))
+    return {
+        "nodes": [list(p) for p in nodes],
+        "interior": interior,
+        "neighbors": neighbors,
+        "cell_corners": cell_corners,
+        "edge_pairs": edge_pairs,
+        "boundary_edges": rim,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, level, sixteenths",
+    [(name, 4, k) for name in ("ell", "star") for k in (0, 1)]
+    + [("pinch", level, k) for level in range(2, 6) for k in (0, 1)],
+)
+def test_grid_tables_match_brute_force(name, level, sixteenths):
+    if name == "star":
+        from bench.workloads import star_polygons  # the benchmark's generator
+
+        spec = star_polygons(0, 1)[0][0]
+    else:
+        spec = {"ell": ELL, "pinch": PINCH}[name]
+    domain = normalize_origin(load_domain(spec))  # the pinch already holds 0
+    g = build_grid(domain, level, sixteenths * 2.0**-level / 16)
+    cells = [tuple(c) for c in g.cells.tolist()]
+    assert cells == sorted(set(cells), key=lambda c: (c[1], c[0]))
+    expected = _tables_from_cells(cells)
+    got = {field: getattr(g, field).tolist() for field in expected if field != "boundary_edges"}
+    got["boundary_edges"] = boundary_edges(g).tolist()
+    for field in expected:
+        assert got[field] == expected[field], field
+    if name == "pinch":
+        present = g.cell_rows([(-1, -1), (0, -1), (-1, 0), (0, 0)]) >= 0
+        assert present.tolist() == [True, False, False, True]
+        origin = g.node_rows([(0, 0)])[0]
+        assert not g.interior[origin]
+        assert (g.neighbors[origin] >= 0).all()

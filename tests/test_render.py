@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from discmap import render_grid_image
 
@@ -67,3 +68,9 @@ def test_svg_style_overrides(map_for):
     svg = render_grid_image(map_for("disc", 3), stroke="#ff0000", stroke_width=0.01)
     assert 'stroke="#ff0000"' in svg
     assert 'stroke-width="0.01"' in svg
+
+
+def test_grid_is_the_maps_own(map_for):
+    # a second positional argument can be neither a grid nor a stroke
+    with pytest.raises(TypeError):
+        render_grid_image(map_for("disc", 5), map_for("disc", 4).grid)
