@@ -20,6 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
+from . import geometry
 from .errors import NoConvergence, OriginOnBoundary
 from .geometry import DyadicGrid
 
@@ -391,10 +392,22 @@ def punctured_disc_profile(
     )
 
 
+def _node_table(grid: DyadicGrid, header: str, *columns: np.ndarray) -> str:
+    """CSV text: ``header``, then ``x,y`` and the float ``columns`` of each node in
+    grid order, every float as its ``repr``; each distinct coordinate is formatted
+    once, and the columns ``geometry._BLOCK`` rows at a time."""
+    xs, ys = (
+        np.array(list(map(repr, (lines * grid.spacing + grid.shift).tolist())), dtype=object)[at]
+        for lines, at in (np.unique(lattice, return_inverse=True) for lattice in grid.nodes.T)
+    )
+    fmt = ",".join(["{}", "{}"] + ["{!r}"] * len(columns)).format
+    blocks = (slice(lo, lo + geometry._BLOCK) for lo in range(0, grid.node_count, geometry._BLOCK))
+    body = ("\n".join(map(fmt, xs[b], ys[b], *(c[b].tolist() for c in columns))) for b in blocks)
+    return "\n".join([header, *body]) + "\n"
+
+
 def field_csv(fld: ScalarField) -> str:
-    """CSV body ``x,y,value`` with rows ordered by (n2, n1)."""
-    pts = fld.grid.node_points()  # nodes are already sorted by (n2, n1)
-    lines = ["x,y,value"]
-    for (x, y), v in zip(pts, fld.values):
-        lines.append(f"{float(x)!r},{float(y)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    """CSV body ``x,y,value``, one row per node in grid order, (n2, n1), every
+    float written as its Python ``repr`` (the shortest round-trip form); the
+    columns equal the ``x,y,g`` columns of ``mapping.map_csv``."""
+    return _node_table(fld.grid, "x,y,value", fld.values)

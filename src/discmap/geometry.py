@@ -555,6 +555,13 @@ class DyadicGrid:
         lattice pairs; -1 where no such cell exists."""
         return _window_rows(self._cell_row, (self._n1lo, self._n2lo), pairs)
 
+    def cell_neighbors(self, steps) -> np.ndarray:
+        """Rows of the cells one lattice step (d1, d2), each in {-1, 0, 1},
+        from every cell, one column per step; -1 where no such cell exists.
+        No cell lies on the window's outer ring, where ``np.roll`` wraps."""
+        row = self._cell_row
+        return np.column_stack([np.roll(row, (-d1, -d2), (0, 1)).T[row.T >= 0] for d1, d2 in steps])
+
     def node_rows(self, pairs) -> np.ndarray:
         """Rows of the nodes at the (M, 2) lattice pairs; -1 where no such
         node exists."""

@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .dirichlet import DEFAULT_TOL, ScalarField, boundary_data, solve_dirichlet
+from .dirichlet import DEFAULT_TOL, ScalarField, _node_table, boundary_data, solve_dirichlet
 from .errors import ClosureFailure, OutsideGrid
 from .geometry import Domain, DyadicGrid, build_grid, spanning_fill
 
@@ -47,9 +47,7 @@ def conjugate_on_cells(
     """
     c = grid.cell_corners
     # arms E, W, N, S; the first writer decides the spanning tree
-    arms = np.column_stack(
-        [grid.cell_rows(grid.cells + step) for step in ((1, 0), (-1, 0), (0, 1), (0, -1))]
-    )
+    arms = grid.cell_neighbors(((1, 0), (-1, 0), (0, 1), (0, -1)))
     delta_e = -(values[c[:, 3]] - values[c[:, 1]])  # NE - SE across east edge
     delta_n = values[c[:, 3]] - values[c[:, 2]]  # NE - NW across north edge
     # the reverse arm negates the increment stored on the far cell
@@ -249,15 +247,7 @@ def eval_derivative(m: ConformalMap, z, with_flag: bool = False):
 
 
 def map_csv(m: ConformalMap) -> str:
-    """Node table ``x,y,g,gconj,reH,imH`` in grid row order."""
-    pts = m.grid.node_points()
-    lines = ["x,y,g,gconj,reH,imH"]
-    g = m.potential.values
-    conj = m.conjugate.values
-    for i in range(m.grid.node_count):
-        lines.append(
-            f"{float(pts[i, 0])!r},{float(pts[i, 1])!r},"
-            f"{float(g[i])!r},{float(conj[i])!r},"
-            f"{float(m.values[i].real)!r},{float(m.values[i].imag)!r}"
-        )
-    return "\n".join(lines) + "\n"
+    """Node table ``x,y,g,gconj,reH,imH``, written as ``dirichlet.field_csv``
+    writes ``x,y,value``; the ``x,y,g`` columns equal that file's."""
+    cols = (m.potential.values, m.conjugate.values, m.values.real, m.values.imag)
+    return _node_table(m.grid, "x,y,g,gconj,reH,imH", *cols)

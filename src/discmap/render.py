@@ -22,26 +22,18 @@ _HEADER = (
 
 
 def _polyline_runs(grid: DyadicGrid, axis: int) -> List[np.ndarray]:
-    """Maximal runs of consecutive node rows along one axis.
+    """Maximal runs of node rows joined by arms along one axis, by first row.
 
     axis 0 walks +x (arm slot E=1), axis 1 walks +y (arm slot N=3); a run
     extends only through arms, so lines never jump across gaps in the
-    covered region.
+    covered region.  Sorted along the walk, an arm leads to the next node;
+    each node, a cell corner, has arms along both axes, so no run is single.
     """
     arm = 1 if axis == 0 else 3
-    next_row = grid.neighbors[:, arm]
-    valid = next_row >= 0
-    runs = []
-    # run starts: nodes with an outgoing arm but no incoming one
-    has_in = np.zeros(grid.node_count, dtype=bool)
-    has_in[next_row[valid]] = True
-    for start in np.where(valid & ~has_in)[0]:
-        chain = [start]
-        cur = start
-        while next_row[cur] >= 0:
-            cur = next_row[cur]
-            chain.append(cur)
-        runs.append(np.asarray(chain))
+    walk = np.lexsort((grid.nodes[:, axis], grid.nodes[:, 1 - axis]))
+    breaks = np.flatnonzero(grid.neighbors[walk[:-1], arm] < 0) + 1
+    runs = np.split(walk, breaks)
+    runs.sort(key=lambda run: run[0])
     return runs
 
 
@@ -64,14 +56,12 @@ def render_grid_image(
         f'<circle cx="0" cy="0" r="1" stroke="{circle_stroke}" '
         f'stroke-width="{stroke_width!r}"/>\n'
     )
-    vals = m.values
+    # each node's "re,im" text once; a polyline joins its nodes' texts
+    text = map("{!r},{!r}".format, m.values.real.tolist(), m.values.imag.tolist())
+    points = np.array(list(text), dtype=object)
     for axis in (0, 1):
         for run in _polyline_runs(m.grid, axis):
-            if len(run) < 2:
-                continue
-            pts = " ".join(
-                f"{float(vals[i].real)!r},{float(vals[i].imag)!r}" for i in run
-            )
+            pts = " ".join(points[run])
             parts.append(
                 f'<polyline points="{pts}" stroke="{stroke}" '
                 f'stroke-width="{stroke_width!r}"/>\n'

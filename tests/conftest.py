@@ -25,6 +25,16 @@ DOMAIN_SPECS = {
 
 DOMAIN_NAMES = tuple(DOMAIN_SPECS)
 
+# two squares meeting only around the origin: at N=2..5 node (0, 0) is a
+# corner of cells (-1, -1) and (0, 0) alone
+PINCH = {
+    "type": "polygon",
+    "vertices": [
+        [-0.6, -0.6], [0.02, -0.6], [0.02, -0.02], [0.6, -0.02],
+        [0.6, 0.6], [-0.02, 0.6], [-0.02, 0.02], [-0.6, 0.02],
+    ],
+}
+
 
 @pytest.fixture(scope="session")
 def domains():

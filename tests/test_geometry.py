@@ -23,6 +23,8 @@ from discmap import (
 from discmap import geometry
 from discmap.geometry import _contained_cells, _inside_lattice, _inside_many, spanning_fill
 
+from conftest import PINCH
+
 DISC = {"type": "disc", "center": [0.0, 0.0], "radius": 1.0}
 SQUARE = {
     "type": "polygon",
@@ -455,15 +457,6 @@ def test_scanline_containment_matches_reference(monkeypatch, name, level, sixtee
 
 
 ELL = {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}
-# two squares meeting only around the origin: at N=2..5 node (0, 0) is a
-# corner of cells (-1, -1) and (0, 0) alone
-PINCH = {
-    "type": "polygon",
-    "vertices": [
-        [-0.6, -0.6], [0.02, -0.6], [0.02, -0.02], [0.6, -0.02],
-        [0.6, 0.6], [-0.02, 0.6], [-0.02, 0.02], [-0.6, 0.02],
-    ],
-}
 
 
 def _around(n1, n2):
@@ -474,6 +467,10 @@ def _around(n1, n2):
 def _corners(a, b):
     """Corners SW, SE, NW, NE of a cell."""
     return (a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)
+
+
+# the cell arms E, W, N, S that the conjugate transport walks
+CELL_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def _tables_from_cells(cells):
@@ -493,6 +490,10 @@ def _tables_from_cells(cells):
         )
         neighbors.append([row[q] if flank else -1 for q, flank in arms])
     cell_corners = [[row[p] for p in _corners(*c)] for c in cells]
+    cell_row = {c: r for r, c in enumerate(cells)}
+    cell_neighbors = [
+        [cell_row.get((a + d1, b + d2), -1) for d1, d2 in CELL_STEPS] for a, b in cells
+    ]
     edge_pairs = []
     for k, step in ((1, (1, 0)), (3, (0, 1))):  # east arms, then north arms
         for p in sorted(nodes):  # (n1, n2) order
@@ -515,6 +516,7 @@ def _tables_from_cells(cells):
         "interior": interior,
         "neighbors": neighbors,
         "cell_corners": cell_corners,
+        "cell_neighbors": cell_neighbors,
         "edge_pairs": edge_pairs,
         "boundary_edges": rim,
     }
@@ -537,10 +539,10 @@ def test_grid_tables_match_brute_force(name, level, sixteenths):
     cells = [tuple(c) for c in g.cells.tolist()]
     assert cells == sorted(set(cells), key=lambda c: (c[1], c[0]))
     expected = _tables_from_cells(cells)
-    got = {field: getattr(g, field).tolist() for field in expected if field != "boundary_edges"}
-    got["boundary_edges"] = boundary_edges(g).tolist()
+    got = {field: getattr(g, field, None) for field in expected}
+    got.update(boundary_edges=boundary_edges(g), cell_neighbors=g.cell_neighbors(CELL_STEPS))
     for field in expected:
-        assert got[field] == expected[field], field
+        assert got[field].tolist() == expected[field], field
     if name == "pinch":
         present = g.cell_rows([(-1, -1), (0, -1), (-1, 0), (0, 0)]) >= 0
         assert present.tolist() == [True, False, False, True]

@@ -16,12 +16,16 @@ from discmap import (
     build_map,
     eval_derivative,
     eval_map,
+    field_csv,
     harmonic_conjugate,
     load_domain,
     map_csv,
     solve_dirichlet,
 )
+from discmap import geometry
 from discmap.dirichlet import DEFAULT_TOL
+
+from conftest import DOMAIN_NAMES
 
 DISC = {"type": "disc", "center": [0.0, 0.0], "radius": 1.0}
 SQUARE = {
@@ -216,6 +220,51 @@ def test_map_csv_round_trip(map_for):
     pts = m.grid.node_points()
     assert (x, y) == (pts[4, 0], pts[4, 1])
     assert complex(re, im) == m.values[4]
+
+
+def _field_csv_reference(fld):
+    """The per-row writer ``field_csv`` replaced, kept as its reference."""
+    pts = fld.grid.node_points()
+    lines = ["x,y,value"]
+    for (x, y), v in zip(pts, fld.values):
+        lines.append(f"{float(x)!r},{float(y)!r},{float(v)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _map_csv_reference(m):
+    """The per-row writer ``map_csv`` replaced, kept as its reference."""
+    pts = m.grid.node_points()
+    lines = ["x,y,g,gconj,reH,imH"]
+    g = m.potential.values
+    conj = m.conjugate.values
+    for i in range(m.grid.node_count):
+        lines.append(
+            f"{float(pts[i, 0])!r},{float(pts[i, 1])!r},"
+            f"{float(g[i])!r},{float(conj[i])!r},"
+            f"{float(m.values[i].real)!r},{float(m.values[i].imag)!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+@pytest.mark.parametrize("level", [4, 5, 6])
+def test_node_tables_match_per_row_writers(map_for, monkeypatch, name, level):
+    # shifts: none, a dyadic one, and one whose coordinates are not
+    # lattice-exact; a block of 7 rows puts block seams inside every table
+    for shift in (0.0, 2.0**-level / 16, 0.001):
+        m = map_for(name, level, shift)
+        field_ref, map_ref = _field_csv_reference(m.potential), _map_csv_reference(m)
+        for block in (geometry._BLOCK, 7):
+            monkeypatch.setattr(geometry, "_BLOCK", block)
+            field_text, map_text = field_csv(m.potential), map_csv(m)
+            assert field_text == field_ref
+            assert map_text == map_ref
+        monkeypatch.undo()
+        field_rows = field_text.splitlines()[1:]
+        map_rows = map_text.splitlines()[1:]
+        assert len(field_rows) == len(map_rows) == m.grid.node_count
+        for f_row, m_row in zip(field_rows, map_rows):
+            assert ",".join(m_row.split(",")[:3]) == f_row
 
 
 def test_build_map_accepts_shift():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from discmap import render_grid_image
+from discmap import build_grid, load_domain, render_grid_image
+
+from conftest import DOMAIN_NAMES, PINCH
 
 
 def _emitted_points(svg: str):
@@ -74,3 +78,60 @@ def test_grid_is_the_maps_own(map_for):
     # a second positional argument can be neither a grid nor a stroke
     with pytest.raises(TypeError):
         render_grid_image(map_for("disc", 5), map_for("disc", 4).grid)
+
+
+def _runs_reference(grid, axis):
+    """The node-by-node run walk ``render`` replaced, kept as its reference."""
+    arm = 1 if axis == 0 else 3
+    next_row = grid.neighbors[:, arm]
+    valid = next_row >= 0
+    has_in = np.zeros(grid.node_count, dtype=bool)
+    has_in[next_row[valid]] = True
+    runs = []
+    for start in np.where(valid & ~has_in)[0]:
+        chain = [start]
+        while next_row[chain[-1]] >= 0:
+            chain.append(next_row[chain[-1]])
+        runs.append(chain)
+    return runs
+
+
+def _svg_reference(m):
+    """The per-point renderer ``render_grid_image`` replaced, with its
+    default styling, kept as its reference."""
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        'viewBox="-1.05 -1.05 2.1 2.1" width="640" height="640">\n',
+        '<g transform="matrix(1 0 0 -1 0 0)" fill="none">\n',
+        '<circle cx="0" cy="0" r="1" stroke="#808080" stroke-width="0.006"/>\n',
+    ]
+    vals = m.values
+    for axis in (0, 1):
+        for run in _runs_reference(m.grid, axis):
+            if len(run) < 2:
+                continue
+            pts = " ".join(f"{float(vals[i].real)!r},{float(vals[i].imag)!r}" for i in run)
+            parts.append(f'<polyline points="{pts}" stroke="#2060c0" stroke-width="0.006"/>\n')
+    parts.append("</g>\n</svg>\n")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_svg_matches_per_point_renderer(map_for, name, level):
+    m = map_for(name, level)
+    assert render_grid_image(m) == _svg_reference(m)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize("sixteenths", [0, 1])
+def test_svg_matches_per_point_renderer_at_a_pinch(level, sixteenths):
+    # the origin is a rim node of the pinch, so no map can be built there;
+    # the renderer reads only the grid and the node values
+    g = build_grid(load_domain(PINCH), level, sixteenths * 2.0**-level / 16)
+    pts = g.node_points()
+    z = pts[:, 0] + 1j * pts[:, 1]
+    m = SimpleNamespace(grid=g, values=z * np.exp(1j * z) / 1.7)
+    svg = render_grid_image(m)
+    assert svg == _svg_reference(m)
+    assert svg.count("<polyline") > 4
