@@ -246,27 +246,24 @@ def build_parser() -> argparse.ArgumentParser:
             help="path to a JSON domain description"
             + (" (ignored)" if name == "counterexample" else ""),
         )
-        p.add_argument("--level", type=int, default=6, help="refinement level N")
+        p.add_argument("--level", type=int, default=RunConfig.level, help="refinement level N")
         p.add_argument(
             "--lambda",
             dest="shift",
             type=float,
-            default=None,
+            default=RunConfig.shift,
             help="grid shift in [0, 2^-N)",
         )
-        p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-        p.add_argument("--radius", type=float, default=0.7, help="sweep radius")
-        p.add_argument("--probes", type=int, default=20, help="sweep probe count")
-        p.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--tol", type=float, default=RunConfig.tol, help="solver tolerance")
+        p.add_argument("--radius", type=float, default=RunConfig.radius, help="sweep radius")
+        p.add_argument("--probes", type=int, default=RunConfig.probes, help="sweep probe count")
+        p.add_argument("--seed", type=int, default=RunConfig.seed, help="sweep RNG seed")
+        p.add_argument("--out", default=RunConfig.out_dir, help="output directory")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "counterexample" and args.domain is None:
-        print("input error: --domain is required", file=sys.stderr)
-        return EXIT_INPUT
     cfg = RunConfig(
         domain_path=args.domain,
         level=args.level,

@@ -515,7 +515,10 @@ class DyadicGrid:
     offset by (n1lo, n2lo) and private to this module.  A node is a corner
     of one to four cells, and its arm toward a neighbor exists when one of
     the two cells flanking that lattice segment is present; a node is
-    interior when all four cells are.
+    interior when all four cells are.  An arm is a rim edge when exactly
+    one of its flanking cells is present; ``rim`` lists each as node rows
+    [start, end], run so that cell lies on its left, sorted by start row
+    and then end row, which is (start n2, start n1, end n2, end n1) order.
     """
 
     domain: Domain
@@ -526,6 +529,7 @@ class DyadicGrid:
     interior: np.ndarray  # (V,) bool, corner of four cells
     neighbors: np.ndarray  # (V, 4) int64 rows W, E, S, N; -1 when absent
     cell_corners: np.ndarray  # (C, 4) int64 node rows SW, SE, NW, NE
+    rim: np.ndarray  # (E, 2) int64 node rows [start, end] of the rim edges
     _cell_row: np.ndarray  # cell window, -1 where no cell
     _node_row: np.ndarray  # node window, one wider; -1 where no node
     _n1lo: int
@@ -650,7 +654,9 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
     (``_corner_cells``), under the corner-cell rule of ``DyadicGrid``.
     Rows are numbered in (n2, n1) order, the C order of a transposed
     window, so every per-node or per-cell table is a slice of the node
-    window read at the nodes or cells, with no per-row lookups.
+    window read at the nodes or cells, with no per-row lookups.  ``rim``
+    takes the arms with one flanking cell, run with that cell on the left
+    and sorted by start row, then end row.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -680,6 +686,16 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
     # corner rows SW, SE, NW, NE of each cell
     corners = (node_row[:-1, :-1], node_row[1:, :-1], node_row[:-1, 1:], node_row[1:, 1:])
     cell_corners = np.column_stack([w.T[ok.T] for w in corners])
+    # rim edges: the arm from a node one step east (north) is on the rim
+    # when one flanking cell is present, and runs forward when that cell
+    # is the one north (west) of it; k indexes the flattened node window
+    rim = []
+    for owner, other, step in ((ne, se, node_row.shape[1]), (nw, ne, 1)):
+        k = np.flatnonzero(owner ^ other)
+        pair = np.column_stack([node_row.flat[k], node_row.flat[k + step]])
+        rim.append(np.where(owner.flat[k][:, None], pair, pair[:, ::-1]))
+    rim = np.concatenate(rim)
+    rim = rim[np.lexsort((rim[:, 1], rim[:, 0]))]
 
     return DyadicGrid(
         domain=domain,
@@ -690,6 +706,7 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
         interior=interior,
         neighbors=neighbors,
         cell_corners=cell_corners,
+        rim=rim,
         _cell_row=cell_row,
         _node_row=node_row,
         _n1lo=n1lo,
@@ -700,29 +717,14 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
 def boundary_edges(grid: DyadicGrid) -> np.ndarray:
     """Rim edges of the covered region as an (E, 2, 2) int64 array.
 
-    Entry [e] is [start, end], two lattice pairs (n1, n2).  Each edge is
-    owned by exactly one cell and runs counterclockwise around it, so the
-    covered region stays on the left.  Opposite orientations of shared
-    edges cancel, so what survives are closed counterclockwise cycles; the
-    sum of (end - start) over the array is zero.  Rows are sorted by
-    (start n2, start n1, end n2, end n1).
+    Entry [e] is [start, end], two lattice pairs (n1, n2): the nodes of
+    ``grid.rim``, in its order.  Each edge is owned by exactly one cell and
+    runs counterclockwise around it, so the covered region stays on the
+    left.  Opposite orientations of shared edges cancel, so what survives
+    are closed counterclockwise cycles; the sum of (end - start) over the
+    array is zero.
     """
-    sw, se, nw, ne = _corner_cells(grid._cell_row >= 0)
-    lo = np.array([grid._n1lo, grid._n2lo])
-    parts = []
-    # the edge from node (a, b) to (a, b) + step is on the rim when one
-    # flanking cell is present and the other is not; it runs forward when
-    # the present cell is the one above it (horizontal edge) or left of it
-    # (vertical edge)
-    for owner, other, step in ((ne, se, (1, 0)), (nw, ne, (0, 1))):
-        rim = owner ^ other
-        forward = owner[rim][:, None]
-        a = np.argwhere(rim) + lo
-        b = a + step
-        parts.append(np.stack([np.where(forward, a, b), np.where(forward, b, a)], axis=1))
-    edges = np.concatenate(parts)
-    order = np.lexsort((edges[:, 1, 0], edges[:, 1, 1], edges[:, 0, 0], edges[:, 0, 1]))
-    return edges[order]
+    return grid.nodes[grid.rim]
 
 
 def spanning_fill(

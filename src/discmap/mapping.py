@@ -156,7 +156,7 @@ def assemble_map(
     value at the origin is zero; H'(0) = exp(g(0)) is then real positive.
     """
     origin = np.zeros((1, 2))
-    conj_values = conj.values - _bilinear(grid, conj.values, origin)[0]
+    conj_values = conj.values - _bilinear(grid, origin, conj.values)[1][0]
     factor = np.exp(pot.values + 1j * conj_values)
     pts = grid.node_points()
     z = pts[:, 0] + 1j * pts[:, 1]
@@ -194,17 +194,19 @@ def build_map(
     return assemble_map(grid, pot, conj, tol=tol)
 
 
-def _bilinear(grid: DyadicGrid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _bilinear(grid: DyadicGrid, points: np.ndarray, *fields: np.ndarray):
+    """Bilinear interpolation of node fields at (M, 2) points, each point
+    located once.  Returns the (M, 4) corner rows of the cells holding the
+    points, then one (M,) array per field."""
     rows, u, v = grid.locate(points)
     if (rows < 0).any():
         x, y = points[rows < 0][0]
         raise OutsideGrid(f"point ({x}, {y}) is outside the covered region")
     c = grid.cell_corners[rows]
-    return (
-        (1.0 - u) * (1.0 - v) * values[c[:, 0]]
-        + u * (1.0 - v) * values[c[:, 1]]
-        + (1.0 - u) * v * values[c[:, 2]]
-        + u * v * values[c[:, 3]]
+    w = ((1.0 - u) * (1.0 - v), u * (1.0 - v), (1.0 - u) * v, u * v)
+    return c, *(
+        w[0] * f[c[:, 0]] + w[1] * f[c[:, 1]] + w[2] * f[c[:, 2]] + w[3] * f[c[:, 3]]
+        for f in fields
     )
 
 
@@ -222,7 +224,7 @@ def eval_map(m: ConformalMap, z):
     by bilinear interpolation of the node samples.  Raises OutsideGrid for
     points not covered."""
     pts, single = _as_points(z)
-    out = _bilinear(m.grid, m.values, pts)
+    _, out = _bilinear(m.grid, pts, m.values)
     return complex(out[0]) if single else out
 
 
@@ -231,15 +233,13 @@ def eval_derivative(m: ConformalMap, z, with_flag: bool = False):
     fields bilinear-interpolated.  With ``with_flag`` the result pairs
     with a bool (per point) marking reliance on one-sided rim stencils."""
     pts, single = _as_points(z)
-    g = _bilinear(m.grid, m.potential.values, pts)
-    conj = _bilinear(m.grid, m.conjugate.values, pts)
-    sx = _bilinear(m.grid, m.slope_x, pts)
-    sy = _bilinear(m.grid, m.slope_y, pts)
+    c, g, conj, sx, sy = _bilinear(
+        m.grid, pts, m.potential.values, m.conjugate.values, m.slope_x, m.slope_y
+    )
     zc = pts[:, 0] + 1j * pts[:, 1]
     deriv = np.exp(g + 1j * conj) * (1.0 + zc * (sx - 1j * sy))
     if with_flag:
-        rows, _, _ = m.grid.locate(pts)
-        flagged = m.one_sided[m.grid.cell_corners[rows]].any(axis=1)
+        flagged = m.one_sided[c].any(axis=1)
         if single:
             return complex(deriv[0]), bool(flagged[0])
         return deriv, flagged

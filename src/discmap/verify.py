@@ -25,6 +25,7 @@ from .errors import (
     OutsideGrid,
     TooCoarse,
 )
+# unused here, but bench/tracing.py wraps discmap.verify.boundary_edges
 from .geometry import DyadicGrid, boundary_edges
 from .mapping import ConformalMap, _cell_gradients, build_map, eval_derivative, eval_map
 
@@ -43,14 +44,13 @@ def _own_grid(m: ConformalMap, grid: Optional[DyadicGrid]) -> DyadicGrid:
     return m.grid
 
 
-def _rim_polygon(m: ConformalMap, grid: DyadicGrid) -> Tuple[np.ndarray, np.ndarray]:
+def _rim_polygon(m: ConformalMap) -> Tuple[np.ndarray, np.ndarray]:
     """H at the start and end node of every rim edge, two (E,) arrays.
 
     Segment e of the rim image runs from the first value to the second;
     together the segments form the closed polygon the rim maps onto.
     """
-    edges = boundary_edges(grid)
-    return m.values[grid.node_rows(edges[:, 0])], m.values[grid.node_rows(edges[:, 1])]
+    return m.values[m.grid.rim[:, 0]], m.values[m.grid.rim[:, 1]]
 
 
 def max_node_derivative(m: ConformalMap) -> float:
@@ -104,10 +104,8 @@ class ModulusReport:
         return 2.0 * self.path_max
 
 
-def _modulus_report(
-    m: ConformalMap, grid: DyadicGrid, a: np.ndarray, b: np.ndarray
-) -> ModulusReport:
-    node_dev = np.abs(np.abs(m.values[~grid.interior]) - 1.0)
+def _modulus_report(m: ConformalMap, a: np.ndarray, b: np.ndarray) -> ModulusReport:
+    node_dev = np.abs(np.abs(m.values[~m.grid.interior]) - 1.0)
     t = np.linspace(0.0, 1.0, RIM_SAMPLES + 1)
     path_mod = np.abs(a[:, None] * (1.0 - t) + b[:, None] * t).ravel()
     path_dev = np.abs(path_mod - 1.0)
@@ -124,8 +122,8 @@ def _modulus_report(
 def boundary_modulus_report(
     m: ConformalMap, grid: Optional[DyadicGrid] = None
 ) -> ModulusReport:
-    grid = _own_grid(m, grid)
-    return _modulus_report(m, grid, *_rim_polygon(m, grid))
+    _own_grid(m, grid)
+    return _modulus_report(m, *_rim_polygon(m))
 
 
 @dataclass
@@ -139,12 +137,13 @@ class PreimageCount:
     distance: float  # |raw - count|
 
 
-def _rebuild(m: ConformalMap, shift: float, cache: Optional[Dict[float, ConformalMap]]):
-    if cache is not None and shift in cache:
-        return cache[shift]
+def _rebuild(m: ConformalMap, shift: float, cache: Optional[Dict[tuple, ConformalMap]]):
+    key = (m.domain, m.grid.level, m.tol, shift)
+    if cache is not None and key in cache:
+        return cache[key]
     built = build_map(m.domain, m.grid.level, shift=shift, tol=m.tol)
     if cache is not None:
-        cache[shift] = built
+        cache[key] = built
     return built
 
 
@@ -152,7 +151,7 @@ def count_preimages(
     m: ConformalMap,
     grid: Optional[DyadicGrid],
     w: complex,
-    cache: Optional[Dict[float, ConformalMap]] = None,
+    cache: Optional[Dict[tuple, ConformalMap]] = None,
 ) -> PreimageCount:
     """Count the preimages of w inside the covered region.
 
@@ -170,11 +169,14 @@ def count_preimages(
     close.  The accepted count is the rounded raw winding provided the raw
     value sits within INTEGER_SLACK of an integer; otherwise
     IndeterminateWinding.
+
+    ``cache`` keeps the ladder's rebuilds, keyed by (domain, level, tol,
+    shift), so one dict may serve several maps.
     """
     grid = _own_grid(m, grid)
     w = complex(w)
-    a, b = _rim_polygon(m, grid)
-    mod = _modulus_report(m, grid, a, b)
+    a, b = _rim_polygon(m)
+    mod = _modulus_report(m, a, b)
     margin = mod.margin
     aw = abs(w)
     if aw >= 1.0 - margin:
@@ -199,7 +201,7 @@ def count_preimages(
         shift_used = next_shift
         next_shift /= 2.0
         current = _rebuild(m, shift_used, cache)
-        raw, hazard = _winding(*_rim_polygon(current, current.grid), w)
+        raw, hazard = _winding(*_rim_polygon(current), w)
 
     count = int(round(raw))
     distance = abs(raw - count)
@@ -217,6 +219,21 @@ def count_preimages(
         hazard=hazard,
         distance=distance,
     )
+
+
+def _count_all(
+    m: ConformalMap, ws, cache: Dict[tuple, ConformalMap]
+) -> Tuple[List[PreimageCount], List[Tuple[complex, str]]]:
+    """Counts for each probe, with TooCoarse and IndeterminateWinding
+    collected as (w, message) failures rather than raised."""
+    results: List[PreimageCount] = []
+    failures: List[Tuple[complex, str]] = []
+    for w in ws:
+        try:
+            results.append(count_preimages(m, m.grid, w, cache=cache))
+        except (TooCoarse, IndeterminateWinding) as exc:
+            failures.append((complex(w), f"{type(exc).__name__}: {exc}"))
+    return results, failures
 
 
 def conformality_residual(m: ConformalMap, grid: Optional[DyadicGrid] = None) -> float:
@@ -253,8 +270,8 @@ def inverse_map(m: ConformalMap, grid: Optional[DyadicGrid], w: complex) -> Poin
     grid = _own_grid(m, grid)
     w = complex(w)
     start = int(np.argmin(np.abs(m.values - w)))
-    pt = grid.node_points()[start]
-    z = complex(pt[0], pt[1])
+    x, y = grid.nodes[start] * grid.spacing + grid.shift
+    z = complex(x, y)
     resid = abs(m.values[start] - w)
     best_z, best_resid = z, resid
     for _ in range(50):
@@ -318,34 +335,23 @@ def bijectivity_sweep(
     radius: float = 0.7,
     probes: int = 20,
     seed: int = 0,
-    cache: Optional[Dict[float, ConformalMap]] = None,
+    cache: Optional[Dict[tuple, ConformalMap]] = None,
 ) -> SweepSummary:
     """Count preimages for seeded uniform probes in |w| <= radius.
 
-    Per-probe errors are collected, not raised.  As an onto-ness witness,
-    eight deterministic probes on |w| = radius are inverted by Newton
-    iteration; their preimages (inside the covered region by
-    construction) are reported alongside the sweep.
+    Per-probe errors are collected, not raised.  ``cache`` keeps the shift
+    ladder's rebuilds as in ``count_preimages``; one dict may serve several
+    maps.  As an onto-ness witness, eight deterministic probes on
+    |w| = radius are inverted by Newton iteration; their preimages (inside
+    the covered region by construction) are reported alongside the sweep.
     """
     grid = _own_grid(m, grid)
     rng = np.random.default_rng(seed)
     rad = radius * np.sqrt(rng.uniform(0.0, 1.0, probes))
     ang = rng.uniform(0.0, 2.0 * math.pi, probes)
     ws = rad * np.exp(1j * ang)
-    if cache is None:
-        cache = {}
-    results: List[PreimageCount] = []
-    failures: List[Tuple[complex, str]] = []
-    good = 0
-    for w in ws:
-        try:
-            res = count_preimages(m, grid, complex(w), cache=cache)
-        except (TooCoarse, IndeterminateWinding) as exc:
-            failures.append((complex(w), f"{type(exc).__name__}: {exc}"))
-            continue
-        results.append(res)
-        if res.count == 1:
-            good += 1
+    results, failures = _count_all(m, ws, {} if cache is None else cache)
+    good = sum(res.count == 1 for res in results)
     onto: List[Point] = []
     for k in range(8):
         w = radius * complex(
@@ -419,14 +425,8 @@ def verification_report(
     """Full verification bundle: explicit probes, modulus and conformality
     diagnostics, and the seeded bijectivity sweep."""
     grid = m.grid
-    cache: Dict[float, ConformalMap] = {}
-    results: List[PreimageCount] = []
-    failures: List[Tuple[complex, str]] = []
-    for w in probes or []:
-        try:
-            results.append(count_preimages(m, grid, w, cache=cache))
-        except (TooCoarse, IndeterminateWinding) as exc:
-            failures.append((complex(w), f"{type(exc).__name__}: {exc}"))
+    cache: Dict[tuple, ConformalMap] = {}
+    results, failures = _count_all(m, probes or [], cache)
     cr = conformality_residual(m)
     sweep = bijectivity_sweep(
         m, grid, radius=radius, probes=sweep_probes, seed=seed, cache=cache

@@ -153,17 +153,21 @@ def test_exit_two_on_config_guards(disc_file, tmp_path):
     assert not os.path.exists(out)
 
 
-def test_exit_two_on_bad_input(tmp_path):
+def test_exit_two_on_bad_input(tmp_path, capsys):
     out = str(tmp_path / "x")
     missing = str(tmp_path / "nope.json")
     assert _run("solve", "--domain", missing, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("input error: [Errno 2] No such file")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert _run("solve", "--domain", str(bad), "--out", out) == 2
+    assert capsys.readouterr().err.startswith("input error: not valid JSON: ")
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"type": "sphere"}')
     assert _run("solve", "--domain", str(unknown), "--out", out) == 2
+    assert capsys.readouterr().err == "input error: unknown domain type: 'sphere'\n"
     assert _run("solve", "--out", out) == 2  # --domain required
+    assert capsys.readouterr().err == "input error: a domain file is required for this command\n"
     assert not os.path.exists(out)
 
 

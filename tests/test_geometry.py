@@ -519,6 +519,7 @@ def _tables_from_cells(cells):
         "cell_neighbors": cell_neighbors,
         "edge_pairs": edge_pairs,
         "boundary_edges": rim,
+        "rim": [[row[tuple(start)], row[tuple(end)]] for start, end in rim],
     }
 
 

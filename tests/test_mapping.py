@@ -152,6 +152,64 @@ def test_bilinear_continuity_across_cells(map_for):
         assert abs(left - right) <= 1e-9
 
 
+def _bilinear_one_field(grid, values, points):
+    """Interpolation as the evaluators did it before they shared one
+    point location across fields: one ``locate`` per field."""
+    rows, u, v = grid.locate(points)
+    if (rows < 0).any():
+        raise OutsideGrid("outside")
+    c = grid.cell_corners[rows]
+    return (
+        (1.0 - u) * (1.0 - v) * values[c[:, 0]]
+        + u * (1.0 - v) * values[c[:, 1]]
+        + (1.0 - u) * v * values[c[:, 2]]
+        + u * v * values[c[:, 3]]
+    )
+
+
+def _derivative_one_field(m, pts):
+    g = _bilinear_one_field(m.grid, m.potential.values, pts)
+    conj = _bilinear_one_field(m.grid, m.conjugate.values, pts)
+    sx = _bilinear_one_field(m.grid, m.slope_x, pts)
+    sy = _bilinear_one_field(m.grid, m.slope_y, pts)
+    zc = pts[:, 0] + 1j * pts[:, 1]
+    deriv = np.exp(g + 1j * conj) * (1.0 + zc * (sx - 1j * sy))
+    rows, _, _ = m.grid.locate(pts)
+    return deriv, m.one_sided[m.grid.cell_corners[rows]].any(axis=1)
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+@pytest.mark.parametrize("shift", ["zero", "sixteenth", "0.001"])
+def test_evaluators_match_per_field_interpolation(map_for, name, shift):
+    level = 5
+    shift = {"zero": 0.0, "sixteenth": 2.0**-level / 16, "0.001": 0.001}[shift]
+    m = map_for(name, level, shift)
+    g = m.grid
+    rng = np.random.default_rng(7)
+    uv = rng.uniform(0.0, 1.0, (len(g.cells), 2))
+    face = uv.copy()
+    face[::2, 0] = 0.0  # west faces
+    face[1::2, 1] = 0.0  # south faces
+    pts = np.concatenate([(g.cells + uv) * g.spacing + shift, (g.cells + face) * g.spacing + shift])
+    pts = np.concatenate([pts, g.node_points()])
+    # a rim point that rounds outside every cell is left out; both raise there
+    pts = pts[g.locate(pts)[0] >= 0]
+    assert len(pts) > 2 * len(g.cells)
+    want = _bilinear_one_field(g, m.values, pts)
+    assert eval_map(m, pts).tobytes() == want.tobytes()
+    deriv, flag = _derivative_one_field(m, pts)
+    assert eval_derivative(m, pts).tobytes() == deriv.tobytes()
+    got, got_flag = eval_derivative(m, pts, with_flag=True)
+    assert got.tobytes() == deriv.tobytes()
+    assert np.array_equal(got_flag, flag)
+    for k in range(0, len(pts), 97):
+        p = (pts[k, 0], pts[k, 1])
+        assert eval_map(m, p) == complex(want[k])
+        assert eval_derivative(m, p, with_flag=True) == (complex(deriv[k]), bool(flag[k]))
+    with pytest.raises(OutsideGrid):
+        eval_derivative(m, np.array([[0.0, 0.0], [5.0, 5.0]]))
+
+
 def test_identity_recovery_inner_disc(map_for):
     m = map_for("disc", 5)
     pts = m.grid.node_points()

@@ -132,17 +132,35 @@ def test_cli_probes_count_without_ladder(map_for, name, level):
     assert not cache
 
 
-def test_ladder_fires_near_a_rim_segment(map_for):
-    # half a segment length inside the longest rim segment of the ell:
-    # |w| is about 0.83, clear of the modulus band, yet the hazard fires
-    m = map_for("ell", 6)
+def _near_segment_probe(m):
+    """Half a segment length inside the longest rim segment's image."""
     a, b = _rim_segments(m)
     k = int(np.argmax(np.abs(b - a)))
     mid = (a[k] + b[k]) / 2.0
-    w = complex(mid - 0.5 * abs(b[k] - a[k]) * mid / abs(mid))
-    res = count_preimages(m, None, w)
+    return complex(mid - 0.5 * abs(b[k] - a[k]) * mid / abs(mid))
+
+
+def test_ladder_fires_near_a_rim_segment(map_for):
+    # on the ell |w| is about 0.83, clear of the modulus band, yet the
+    # hazard fires
+    m = map_for("ell", 6)
+    res = count_preimages(m, None, _near_segment_probe(m))
     assert res.attempts >= 1
     assert res.count == 1
+
+
+def test_ladder_cache_may_serve_several_maps(map_for):
+    # the square's ladder leaves its own rebuilds in the dict, at the same
+    # shifts the ell's ladder asks for; the ell must not be handed them
+    ell, square = map_for("ell", 6), map_for("square", 6)
+    cache = {}
+    assert count_preimages(square, None, _near_segment_probe(square), cache=cache).attempts == 5
+    w = _near_segment_probe(ell)
+    alone = count_preimages(ell, None, w)
+    shared = count_preimages(ell, None, w, cache=cache)
+    assert (shared.attempts, shared.hazard, shared.raw) == (alone.attempts, alone.hazard, alone.raw)
+    assert (alone.attempts, alone.hazard) == (5, True)
+    assert len(cache) == 10
 
 
 def test_rim_report_needs_no_point_location(map_for):
