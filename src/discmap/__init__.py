@@ -58,6 +58,7 @@ from .geometry import (
 )
 from .mapping import (
     ConformalMap,
+    ModulusReport,
     assemble_map,
     build_map,
     eval_derivative,
@@ -67,7 +68,6 @@ from .mapping import (
 )
 from .render import render_grid_image
 from .verify import (
-    ModulusReport,
     PreimageCount,
     SweepSummary,
     VerificationReport,

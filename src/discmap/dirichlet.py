@@ -13,8 +13,8 @@ why a single puncture carries no weight in this discrete problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -34,37 +34,28 @@ JACOBI_DAMPING = 0.8  # 4/5: the best-smoothing Jacobi weight for the five-point
 
 @dataclass
 class BoundaryData:
-    """Prescribed node values; every non-interior node must get one.
+    """Prescribed node values, as two node arrays: ``fixed`` marks the nodes
+    that get a value and ``values`` holds it, 0 at the other nodes.
+    Construction checks that every non-interior node is fixed, then makes
+    both arrays read-only so that the check keeps holding.
 
-    Entries at interior nodes act as pins: the solver holds them fixed
-    and they enter their neighbors' equations like rim values do.
+    Fixed interior nodes act as pins: the solver holds them fixed and they
+    enter their neighbors' equations like rim values do.
     """
 
     grid: DyadicGrid
-    values: Dict[Node, float]
+    fixed: np.ndarray  # (V,) bool
+    values: np.ndarray  # (V,) float
 
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(constrained mask, full-length value array, zeros elsewhere)."""
-        grid = self.grid
-        mask = np.zeros(grid.node_count, dtype=bool)
-        vals = np.zeros(grid.node_count)
-        keys = np.array(list(self.values), dtype=np.int64).reshape(-1, 2)
-        rows = grid.node_rows(keys)
-        if (rows < 0).any():
-            n1, n2 = keys[rows < 0][0]
-            raise ValueError(f"({n1}, {n2}) is not a node of this grid")
-        mask[rows] = True
-        vals[rows] = np.fromiter(self.values.values(), dtype=float, count=len(rows))
-        missing = (~mask) & (~self.grid.interior)
+    def __post_init__(self):
+        missing = ~self.fixed & ~self.grid.interior
         if missing.any():
-            raise ValueError(
-                f"{int(missing.sum())} rim nodes have no prescribed value"
-            )
-        return mask, vals
+            raise ValueError(f"{int(missing.sum())} rim nodes have no prescribed value")
+        self.fixed.flags.writeable = self.values.flags.writeable = False
 
     def range_span(self) -> float:
-        vs = list(self.values.values())
-        return max(vs) - min(vs)
+        vs = self.values[self.fixed]
+        return float(vs.max() - vs.min())
 
 
 def boundary_data(grid: DyadicGrid) -> BoundaryData:
@@ -79,14 +70,10 @@ def boundary_data(grid: DyadicGrid) -> BoundaryData:
             "normalize the domain or refine the grid"
         )
     rim = ~grid.interior
-    pts = grid.node_points()[rim]
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    vals = -np.log(radii)
-    entries = {
-        (int(n1), int(n2)): float(v)
-        for (n1, n2), v in zip(grid.nodes[rim], vals)
-    }
-    return BoundaryData(grid=grid, values=entries)
+    pts = grid.nodes[rim] * grid.spacing + grid.shift
+    values = np.zeros(grid.node_count)
+    values[rim] = -np.log(np.hypot(pts[:, 0], pts[:, 1]))
+    return BoundaryData(grid, rim, values)
 
 
 def boundary_data_from_function(
@@ -95,16 +82,19 @@ def boundary_data_from_function(
     pins: Optional[Mapping[Node, float]] = None,
 ) -> BoundaryData:
     """Sample an arbitrary function on the rim, optionally pinning nodes."""
-    rim = ~grid.interior
-    entries: Dict[Node, float] = {}
-    pts = grid.node_points()
-    for row in np.where(rim)[0]:
-        n1, n2 = grid.nodes[row]
-        entries[(int(n1), int(n2))] = float(fn(pts[row, 0], pts[row, 1]))
+    fixed = ~grid.interior
+    pts = grid.nodes[fixed] * grid.spacing + grid.shift
+    values = np.zeros(grid.node_count)
+    values[fixed] = [float(fn(x, y)) for x, y in pts]
     if pins:
-        for node, v in pins.items():
-            entries[node] = float(v)
-    return BoundaryData(grid=grid, values=entries)
+        keys = np.array(list(pins), dtype=np.int64).reshape(-1, 2)
+        rows = grid.node_rows(keys)
+        if (rows < 0).any():
+            n1, n2 = keys[rows < 0][0]
+            raise ValueError(f"({n1}, {n2}) is not a node of this grid")
+        fixed[rows] = True
+        values[rows] = [float(v) for v in pins.values()]
+    return BoundaryData(grid, fixed, values)
 
 
 @dataclass
@@ -232,13 +222,12 @@ def solve_dirichlet(
     count.  The returned residual is the max-norm mean-value defect, held
     below tol * (data range + 1).
     """
-    mask, vals = data.arrays()
-    free = np.where(grid.interior & ~mask)[0]
+    free = np.where(grid.interior & ~data.fixed)[0]
     target = tol * (data.range_span() + 1.0)
     if len(free) == 0:
-        return ScalarField(grid, vals, 0.0, mask)
+        return ScalarField(grid, data.values.copy(), 0.0, data.fixed)
 
-    a, rhs = _assemble(grid, free, vals)
+    a, rhs = _assemble(grid, free, data.values)
     iterations = 0
 
     def count(xk):
@@ -256,14 +245,14 @@ def solve_dirichlet(
             f"conjugate gradients stopped with status {info} before reaching "
             f"{2.0 * target:.3e}"
         )
-    out = vals.copy()
+    out = data.values.copy()
     out[free] = x
     res = _mean_value_residual(grid, out, free)
     if res > target:
         raise NoConvergence(
             f"mean-value residual {res:.3e} exceeds target {target:.3e}"
         )
-    return ScalarField(grid, out, res, mask, iterations)
+    return ScalarField(grid, out, res, data.fixed, iterations)
 
 
 def perron_iterate(
@@ -278,12 +267,11 @@ def perron_iterate(
     toward the same limit the direct solve produces.  Stops early only at
     an exact fixed point.
     """
-    mask, vals = data.arrays()
-    free = np.where(grid.interior & ~mask)[0]
-    v = vals.copy()
+    free = np.where(grid.interior & ~data.fixed)[0]
+    v = data.values.copy()
     if len(free) == 0:
-        return ScalarField(grid, v, 0.0, mask)
-    v[free] = min(data.values.values())
+        return ScalarField(grid, v, 0.0, data.fixed)
+    v[free] = data.values[data.fixed].min()
     nb = grid.neighbors[free]
     for _ in range(sweeps):
         avg = 0.25 * (v[nb[:, 0]] + v[nb[:, 1]] + v[nb[:, 2]] + v[nb[:, 3]])
@@ -291,7 +279,7 @@ def perron_iterate(
         if np.array_equal(new, v[free]):
             break
         v[free] = new
-    return ScalarField(grid, v, _mean_value_residual(grid, v, free), mask)
+    return ScalarField(grid, v, _mean_value_residual(grid, v, free), data.fixed)
 
 
 def dirichlet_energy(

@@ -82,17 +82,22 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainParseError(msg)
 
 
+def _as_number(obj, msg: str) -> float:
+    """A JSON number as a float, infinite where an integer overflows one;
+    anything else, booleans included, raises DomainParseError(msg)."""
+    _require(isinstance(obj, (int, float)) and not isinstance(obj, bool), msg)
+    try:
+        return float(obj)
+    except OverflowError:
+        return math.inf if obj > 0 else -math.inf
+
+
 def _as_point(obj, what: str) -> Point:
     _require(
         isinstance(obj, (list, tuple)) and len(obj) == 2,
         f"{what} must be a pair [x, y]",
     )
-    x, y = obj
-    _require(
-        isinstance(x, (int, float)) and isinstance(y, (int, float)),
-        f"{what} coordinates must be numbers",
-    )
-    x, y = float(x), float(y)
+    x, y = (_as_number(c, f"{what} coordinates must be numbers") for c in obj)
     _require(math.isfinite(x) and math.isfinite(y), f"{what} must be finite")
     return (x, y)
 
@@ -112,9 +117,7 @@ def load_domain(spec: Mapping) -> Domain:
         return Domain(kind="polygon", vertices=pts)
     if kind == "disc":
         center = _as_point(spec.get("center"), "disc center")
-        r = spec.get("radius")
-        _require(isinstance(r, (int, float)), "disc needs a numeric 'radius'")
-        r = float(r)
+        r = _as_number(spec.get("radius"), "disc needs a numeric 'radius'")
         if not (math.isfinite(r) and r > 0.0):
             raise DegenerateGeometry("disc radius must be positive and finite")
         return Domain(kind="disc", center=center, radius=r)
@@ -125,7 +128,7 @@ def load_domain_file(path) -> Domain:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DomainParseError(f"not valid JSON: {exc}") from exc
     return load_domain(spec)
 

@@ -22,6 +22,8 @@ from .geometry import Domain, DyadicGrid, build_grid, spanning_fill
 
 Point = Tuple[float, float]
 
+RIM_SAMPLES = 8
+
 
 def _cell_gradients(grid: DyadicGrid, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Average x and y slopes of a node field over each cell."""
@@ -97,13 +99,57 @@ def harmonic_conjugate(grid: DyadicGrid, pot: ScalarField) -> ScalarField:
 
 
 @dataclass
+class ModulusReport:
+    """Deviation of |H| from 1 along the covered region's rim.
+
+    Node statistics cover the rim nodes, where the boundary data pins
+    |H| = 1 exactly and only rounding remains.  Path statistics take
+    RIM_SAMPLES + 1 evenly spaced points on each segment of the rim
+    polygon, the exact image of the rim under the interpolated H; there
+    the deviation is a real discretization error that shrinks under
+    refinement, and the count preconditions use the path numbers for that
+    reason.  With both segment ends on |H| = 1 the segment's least modulus
+    is at its midpoint, which is one of the points taken.
+    """
+
+    node_max: float
+    node_mean: float
+    path_max: float
+    path_mean: float
+    path_min_modulus: float
+    path_max_modulus: float
+
+    @property
+    def margin(self) -> float:
+        return 2.0 * self.path_max
+
+
+def _modulus_report(grid: DyadicGrid, values: np.ndarray) -> ModulusReport:
+    """The rim-modulus report of the node values H on ``grid``."""
+    node_dev = np.abs(np.abs(values[~grid.interior]) - 1.0)
+    t = np.linspace(0.0, 1.0, RIM_SAMPLES + 1)
+    a, b = values[grid.rim[:, 0]], values[grid.rim[:, 1]]
+    path_mod = np.abs(a[:, None] * (1.0 - t) + b[:, None] * t).ravel()
+    path_dev = np.abs(path_mod - 1.0)
+    return ModulusReport(
+        node_max=float(node_dev.max()),
+        node_mean=float(node_dev.mean()),
+        path_max=float(path_dev.max()),
+        path_mean=float(path_dev.mean()),
+        path_min_modulus=float(path_mod.min()),
+        path_max_modulus=float(path_mod.max()),
+    )
+
+
+@dataclass
 class ConformalMap:
     """Immutable bundle of the assembled disc map on one grid.
 
     ``values`` holds H at the nodes, ``factor`` the nonvanishing h with
     H = z * h.  ``slope_x``/``slope_y`` are node derivatives of g used by
     ``eval_derivative``; ``one_sided`` marks nodes where a rim-adjacent
-    one-sided difference replaced the central one.
+    one-sided difference replaced the central one.  ``modulus`` is the
+    rim-modulus report, built once with the map.
     """
 
     grid: DyadicGrid
@@ -115,6 +161,7 @@ class ConformalMap:
     slope_x: np.ndarray
     slope_y: np.ndarray
     one_sided: np.ndarray  # bool per node
+    modulus: ModulusReport
     tol: float = DEFAULT_TOL
 
     @property
@@ -172,6 +219,7 @@ def assemble_map(
         slope_x=sx,
         slope_y=sy,
         one_sided=fallback,
+        modulus=_modulus_report(grid, values),
         tol=tol,
     )
 

@@ -27,11 +27,12 @@ from .errors import (
 )
 # unused here, but bench/tracing.py wraps discmap.verify.boundary_edges
 from .geometry import DyadicGrid, boundary_edges
-from .mapping import ConformalMap, _cell_gradients, build_map, eval_derivative, eval_map
+from .mapping import (
+    ConformalMap, ModulusReport, _cell_gradients, build_map, eval_derivative, eval_map
+)
 
 Point = Tuple[float, float]
 
-RIM_SAMPLES = 8
 MAX_SHIFT_ATTEMPTS = 5
 INTEGER_SLACK = 0.1
 
@@ -44,15 +45,6 @@ def _own_grid(m: ConformalMap, grid: Optional[DyadicGrid]) -> DyadicGrid:
     return m.grid
 
 
-def _rim_polygon(m: ConformalMap) -> Tuple[np.ndarray, np.ndarray]:
-    """H at the start and end node of every rim edge, two (E,) arrays.
-
-    Segment e of the rim image runs from the first value to the second;
-    together the segments form the closed polygon the rim maps onto.
-    """
-    return m.values[m.grid.rim[:, 0]], m.values[m.grid.rim[:, 1]]
-
-
 def max_node_derivative(m: ConformalMap) -> float:
     pts = m.grid.node_points()
     z = pts[:, 0] + 1j * pts[:, 1]
@@ -60,17 +52,20 @@ def max_node_derivative(m: ConformalMap) -> float:
     return float(np.abs(deriv).max())
 
 
-def _winding(a: np.ndarray, b: np.ndarray, w: complex) -> Tuple[float, bool]:
+def _winding(m: ConformalMap, w: complex) -> Tuple[float, bool]:
     """Raw winding of the rim polygon about w, and the hazard flag.
 
-    A segment a->b that misses w subtends an angle below pi there, so its
-    principal angle Arg((b - w)/(a - w)) is its exact contribution and
-    segment order never matters.  The hazard fires when w lies closer to
-    some segment than that segment's length |b - a|: the shifted lattices
-    of the ladder move the rim by up to about one cell, and one rim cell's
-    image there has side about |b - a|, so a w that close may change side
-    under a shift and its count is not trusted without one.
+    Segment e runs from a = H at ``m.grid.rim[e, 0]`` to b = H at
+    ``m.grid.rim[e, 1]``.  A segment a->b that misses w subtends an angle
+    below pi there, so its principal angle Arg((b - w)/(a - w)) is its
+    exact contribution and segment order never matters.  The hazard fires
+    when w lies closer to some segment than that segment's length |b - a|:
+    the shifted lattices of the ladder move the rim by up to about one
+    cell, and one rim cell's image there has side about |b - a|, so a w
+    that close may change side under a shift and its count is not trusted
+    without one.
     """
+    a, b = m.values[m.grid.rim].T
     raw = float(np.angle((b - w) / (a - w)).sum() / (2.0 * math.pi))
     d = b - a
     length = np.abs(d)
@@ -78,52 +73,12 @@ def _winding(a: np.ndarray, b: np.ndarray, w: complex) -> Tuple[float, bool]:
     return raw, bool((np.abs(a + t * d - w) < length).any())
 
 
-@dataclass
-class ModulusReport:
-    """Deviation of |H| from 1 along the covered region's rim.
-
-    Node statistics cover the rim nodes, where the boundary data pins
-    |H| = 1 exactly and only rounding remains.  Path statistics take
-    RIM_SAMPLES + 1 evenly spaced points on each segment of the rim
-    polygon, the exact image of the rim under the interpolated H; there
-    the deviation is a real discretization error that shrinks under
-    refinement, and the count preconditions use the path numbers for that
-    reason.  With both segment ends on |H| = 1 the segment's least modulus
-    is at its midpoint, which is one of the points taken.
-    """
-
-    node_max: float
-    node_mean: float
-    path_max: float
-    path_mean: float
-    path_min_modulus: float
-    path_max_modulus: float
-
-    @property
-    def margin(self) -> float:
-        return 2.0 * self.path_max
-
-
-def _modulus_report(m: ConformalMap, a: np.ndarray, b: np.ndarray) -> ModulusReport:
-    node_dev = np.abs(np.abs(m.values[~m.grid.interior]) - 1.0)
-    t = np.linspace(0.0, 1.0, RIM_SAMPLES + 1)
-    path_mod = np.abs(a[:, None] * (1.0 - t) + b[:, None] * t).ravel()
-    path_dev = np.abs(path_mod - 1.0)
-    return ModulusReport(
-        node_max=float(node_dev.max()),
-        node_mean=float(node_dev.mean()),
-        path_max=float(path_dev.max()),
-        path_mean=float(path_dev.mean()),
-        path_min_modulus=float(path_mod.min()),
-        path_max_modulus=float(path_mod.max()),
-    )
-
-
 def boundary_modulus_report(
     m: ConformalMap, grid: Optional[DyadicGrid] = None
 ) -> ModulusReport:
+    """The map's rim-modulus report, built with the map."""
     _own_grid(m, grid)
-    return _modulus_report(m, *_rim_polygon(m))
+    return m.modulus
 
 
 @dataclass
@@ -175,8 +130,7 @@ def count_preimages(
     """
     grid = _own_grid(m, grid)
     w = complex(w)
-    a, b = _rim_polygon(m)
-    mod = _modulus_report(m, a, b)
+    mod = m.modulus
     margin = mod.margin
     aw = abs(w)
     if aw >= 1.0 - margin:
@@ -194,14 +148,13 @@ def count_preimages(
 
     shift_used = grid.shift
     attempts = 0
-    raw, hazard = _winding(a, b, w)
+    raw, hazard = _winding(m, w)
     next_shift = grid.spacing / 16.0
     while hazard and attempts < MAX_SHIFT_ATTEMPTS:
         attempts += 1
         shift_used = next_shift
         next_shift /= 2.0
-        current = _rebuild(m, shift_used, cache)
-        raw, hazard = _winding(*_rim_polygon(current), w)
+        raw, hazard = _winding(_rebuild(m, shift_used, cache), w)
 
     count = int(round(raw))
     distance = abs(raw - count)

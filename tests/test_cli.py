@@ -171,6 +171,32 @@ def test_exit_two_on_bad_input(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # an integer too large for a float is not a finite coordinate
+        ('{"type": "disc", "center": [1%s, 0], "radius": 1}' % ("0" * 400),
+         "disc center must be finite"),
+        ("[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+        # JSON booleans are not numbers, though Python counts bool as int
+        ('{"type": "disc", "center": [true, false], "radius": true}',
+         "disc center coordinates must be numbers"),
+        ('{"type": "disc", "center": [0, 0], "radius": true}',
+         "disc needs a numeric 'radius'"),
+        ('{"type": "polygon", "vertices": [[0, 0], [1, 0], [false, 1]]}',
+         "vertex coordinates must be numbers"),
+    ],
+    ids=["huge-integer", "deep-nesting", "boolean-center", "boolean-radius", "boolean-vertex"],
+)
+def test_exit_two_on_malformed_domain_values(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = str(tmp_path / "x")
+    assert _run("solve", "--domain", str(bad), "--level", "3", "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+    assert not os.path.exists(out)
+
+
 def test_exit_three_when_solver_result_fails_gate(disc_file, tmp_path, monkeypatch):
     # cg reports success with a wrong solution; the residual gate catches it
     monkeypatch.setattr(dirichlet, "cg", lambda a, b, **kwargs: (np.zeros_like(b), 0))

@@ -10,6 +10,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
 from discmap import (
+    BoundaryData,
     NoConvergence,
     OriginOnBoundary,
     boundary_data,
@@ -66,7 +67,7 @@ def test_solver_keeps_prescribed_values_exact():
     g = build_grid(load_domain({"type": "disc", "center": [0, 0], "radius": 1.0}), 4)
     data = boundary_data(g)
     fld = solve_dirichlet(g, data)
-    for (n1, n2), v in data.values.items():
+    for (n1, n2), v in zip(g.nodes[data.fixed], data.values[data.fixed]):
         assert fld.values[g.node_rows([(n1, n2)])[0]] == v
 
 
@@ -95,7 +96,9 @@ def test_boundary_data_is_log_distance():
     g = build_grid(load_domain({"type": "disc", "center": [0, 0], "radius": 1.0}), 3)
     data = boundary_data(g)
     h = g.spacing
-    for (n1, n2), v in data.values.items():
+    assert np.array_equal(data.fixed, ~g.interior)
+    assert not data.values[~data.fixed].any()
+    for (n1, n2), v in zip(g.nodes[data.fixed], data.values[data.fixed]):
         x, y = n1 * h, n2 * h
         assert v == pytest.approx(-math.log(math.hypot(x, y)), abs=1e-14)
 
@@ -111,10 +114,13 @@ def test_boundary_data_requires_origin_inside():
 def test_boundary_data_missing_rim_value_rejected():
     g = _tiny_grid()
     data = boundary_data(g)
-    key = next(iter(data.values))
-    del data.values[key]
-    with pytest.raises(ValueError):
-        solve_dirichlet(g, data)
+    fixed = data.fixed.copy()
+    fixed[np.flatnonzero(~g.interior)[0]] = False
+    with pytest.raises(ValueError, match="^1 rim nodes have no prescribed value$"):
+        BoundaryData(g, fixed, data.values)
+    # nor can a rim node lose its value once the data are built
+    with pytest.raises(ValueError, match="read-only"):
+        data.fixed[np.flatnonzero(~g.interior)[0]] = False
 
 
 def test_pinned_interior_node_held_fixed():
@@ -259,8 +265,7 @@ PCG_CASES = ("disc", "disc_shifted", "ell", "ell_shifted", "punctured")
 def test_preconditioned_solve_matches_direct_solve(name):
     g, data = _pcg_case(name)
     fld = solve_dirichlet(g, data)
-    mask, vals = data.arrays()
-    free, a, rhs = _reference_system(g, mask, vals)
+    free, a, rhs = _reference_system(g, data.fixed, data.values)
     assert len(free) > 16 * dirichlet.COARSEST_SIZE  # two levels or more
     assert np.abs(fld.values[free] - spsolve(a, rhs)).max() <= 1e-9
     assert 1 <= fld.iterations <= 20
@@ -269,9 +274,8 @@ def test_preconditioned_solve_matches_direct_solve(name):
 @pytest.mark.parametrize("name", PCG_CASES)
 def test_v_cycle_is_symmetric_positive_definite(name):
     g, data = _pcg_case(name)
-    mask, vals = data.arrays()
-    free = np.flatnonzero(g.interior & ~mask)
-    a, _ = dirichlet._assemble(g, free, vals)
+    free = np.flatnonzero(g.interior & ~data.fixed)
+    a, _ = dirichlet._assemble(g, free, data.values)
     v_cycle = dirichlet._v_cycle(a, g.nodes[free])
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -309,3 +313,70 @@ def test_no_convergence_on_residual_gate(monkeypatch):
     monkeypatch.setattr(dirichlet, "cg", _stub_cg(0))
     with pytest.raises(NoConvergence, match="mean-value residual"):
         solve_dirichlet(g, boundary_data(g))
+
+
+# the lattice-keyed dict that boundary data used to be, and the conversion
+# to node arrays that every solve used to run, kept as references
+
+
+def _reference_log_entries(g):
+    rim = ~g.interior
+    pts = g.node_points()[rim]
+    vals = -np.log(np.hypot(pts[:, 0], pts[:, 1]))
+    return {(int(n1), int(n2)): float(v) for (n1, n2), v in zip(g.nodes[rim], vals)}
+
+
+def _reference_function_entries(g, fn, pins):
+    pts = g.node_points()
+    entries = {}
+    for row in np.where(~g.interior)[0]:
+        n1, n2 = g.nodes[row]
+        entries[(int(n1), int(n2))] = float(fn(pts[row, 0], pts[row, 1]))
+    for node, v in pins.items():
+        entries[node] = float(v)
+    return entries
+
+
+def _reference_arrays(g, entries):
+    mask = np.zeros(g.node_count, dtype=bool)
+    vals = np.zeros(g.node_count)
+    keys = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    rows = g.node_rows(keys)
+    assert (rows >= 0).all()
+    mask[rows] = True
+    vals[rows] = np.fromiter(entries.values(), dtype=float, count=len(rows))
+    return mask, vals
+
+
+def _parity_case(name):
+    """(grid, boundary data, the same data as a reference dict)."""
+    if name in ("log_disc", "log_ell_shifted"):
+        spec, shift = (DISC, 0.0) if name == "log_disc" else (ELL, 2.0**-6 / 16)
+        g = build_grid(normalize_origin(load_domain(spec)), 6, shift)
+        return g, boundary_data(g), _reference_log_entries(g)
+    if name == "tiny_square":
+        g, fn, pins = build_grid(load_domain(TINY_SQUARE), 4), (lambda x, y: x * y), {}
+    else:  # the punctured disc: rim value 1, origin pinned to 0
+        g, fn, pins = build_grid(load_domain(DISC), 6), (lambda x, y: 1.0), {(0, 0): 0.0}
+    return g, boundary_data_from_function(g, fn, pins=pins), _reference_function_entries(g, fn, pins)
+
+
+@pytest.mark.parametrize("name", ("log_disc", "log_ell_shifted", "tiny_square", "punctured"))
+def test_array_data_solves_bit_identically_to_dict_form(name):
+    g, data, entries = _parity_case(name)
+    mask, vals = _reference_arrays(g, entries)
+    assert np.array_equal(data.fixed, mask)
+    assert np.array_equal(data.values, vals)
+    assert data.range_span() == max(entries.values()) - min(entries.values())
+    fld = solve_dirichlet(g, data)
+    ref = solve_dirichlet(g, BoundaryData(g, mask, vals))
+    assert np.array_equal(fld.values, ref.values)
+    assert fld.residual == ref.residual
+    assert fld.iterations == ref.iterations
+    assert np.array_equal(fld.constrained, ref.constrained)
+
+
+def test_pin_off_the_grid_rejected():
+    g = _tiny_grid()
+    with pytest.raises(ValueError, match=r"^\(9, 9\) is not a node of this grid$"):
+        boundary_data_from_function(g, lambda x, y: 1.0, pins={(9, 9): 0.0})

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from conftest import DOMAIN_NAMES
 from discmap import (
+    ModulusReport,
     NewtonStalled,
     ScalarField,
     TooCoarse,
@@ -21,6 +22,7 @@ from discmap import (
     inverse_map,
     verification_report,
 )
+from discmap import mapping
 from discmap.dirichlet import DEFAULT_TOL
 from discmap.mapping import eval_map
 from discmap.verify import max_node_derivative
@@ -51,6 +53,49 @@ def test_boundary_modulus_path_deviation_real(map_for):
     assert r5.path_max < r4.path_max
     assert r5.path_mean < r4.path_mean
     assert r4.path_min_modulus <= 1.0 <= r4.path_max_modulus + r4.margin
+
+
+def _reference_modulus_report(m):
+    # the report as count_preimages used to build it on every call, with
+    # 8 + 1 points on each rim segment
+    a, b = m.values[m.grid.rim[:, 0]], m.values[m.grid.rim[:, 1]]
+    node_dev = np.abs(np.abs(m.values[~m.grid.interior]) - 1.0)
+    t = np.linspace(0.0, 1.0, 9)
+    path_mod = np.abs(a[:, None] * (1.0 - t) + b[:, None] * t).ravel()
+    path_dev = np.abs(path_mod - 1.0)
+    return ModulusReport(
+        node_max=float(node_dev.max()),
+        node_mean=float(node_dev.mean()),
+        path_max=float(path_dev.max()),
+        path_mean=float(path_dev.mean()),
+        path_min_modulus=float(path_mod.min()),
+        path_max_modulus=float(path_mod.max()),
+    )
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_map_modulus_report_matches_per_call_reference(map_for, name):
+    for level in (4, 5, 6):
+        for shift in (0.0, 2.0**-level / 16):
+            m = map_for(name, level, shift)
+            assert astuple(m.modulus) == astuple(_reference_modulus_report(m))
+
+
+def test_probes_build_no_modulus_report(map_for, monkeypatch):
+    m = map_for("disc", 5)
+
+    def refuse(*args):
+        raise AssertionError("rim-modulus report rebuilt for a probe")
+
+    monkeypatch.setattr(mapping, "_modulus_report", refuse)
+    assert boundary_modulus_report(m) is m.modulus
+    assert count_preimages(m, None, 0.3 + 0.1j).count == 1
+    with pytest.raises(TooCoarse):
+        count_preimages(m, None, 1.0 - m.modulus.margin / 2.0)
+    sweep = bijectivity_sweep(m, probes=10, seed=3)
+    assert sweep.ok_fraction == 1.0
+    # a ladder rebuild is a new map, which builds its own report
+    assert not any(res.attempts for res in sweep.results)
 
 
 def test_count_center_of_each_domain(map_for):
