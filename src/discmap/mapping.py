@@ -12,6 +12,7 @@ origin, which makes H'(0) = exp(g(0)) real and positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -23,6 +24,7 @@ from .geometry import Domain, DyadicGrid, build_grid, spanning_fill
 Point = Tuple[float, float]
 
 RIM_SAMPLES = 8
+INDEX_CHUNK = 64  # most nodes per chunk of the nearest-node index
 
 
 def _cell_gradients(grid: DyadicGrid, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -142,6 +144,69 @@ def _modulus_report(grid: DyadicGrid, values: np.ndarray) -> ModulusReport:
 
 
 @dataclass
+class NodeIndex:
+    """Exact nearest-node lookup over the node values H of one map.
+
+    Node rows, in (n2, n1) order, are cut into scanline chunks: at most
+    INDEX_CHUNK consecutive rows, broken where n2 changes or n1 jumps, so
+    each chunk is a short lattice segment and its H values stay close
+    together.  Each chunk keeps the bounding box of its H values.
+    """
+
+    values: np.ndarray  # complex H per node
+    starts: np.ndarray  # first row of each chunk
+    sizes: np.ndarray  # rows per chunk
+    re_lo: np.ndarray
+    re_hi: np.ndarray
+    im_lo: np.ndarray
+    im_hi: np.ndarray
+
+    @classmethod
+    def build(cls, grid: DyadicGrid, values: np.ndarray) -> "NodeIndex":
+        n1, n2 = grid.nodes.T
+        run_start = np.ones(len(n1), dtype=bool)
+        run_start[1:] = (np.diff(n2) != 0) | (np.diff(n1) != 1)
+        first = np.flatnonzero(run_start)
+        pos = np.arange(len(n1)) - first[np.cumsum(run_start) - 1]
+        starts = np.flatnonzero(pos % INDEX_CHUNK == 0)
+        sizes = np.diff(np.append(starts, len(n1)))
+        re, im = values.real, values.imag
+        return cls(
+            values=values,
+            starts=starts,
+            sizes=sizes,
+            re_lo=np.minimum.reduceat(re, starts),
+            re_hi=np.maximum.reduceat(re, starts),
+            im_lo=np.minimum.reduceat(im, starts),
+            im_hi=np.maximum.reduceat(im, starts),
+        )
+
+    def nearest(self, w: complex) -> int:
+        """Row of the node whose H lies nearest w, the lowest such row on
+        a tie: the row ``np.argmin(np.abs(values - w))`` gives.
+
+        The larger of the real and imaginary gaps from w to a chunk's box
+        bounds |H - w| below over the chunk, and it is computed from the
+        same rounded differences as |H - w|, so it never exceeds a node's
+        computed distance.  The chunk of least bound is scanned for a true
+        node distance d; only chunks whose bound is at most d can hold a
+        node as near, and their rows, in ascending order, are scanned for
+        the answer.
+        """
+        dx = np.maximum(np.maximum(self.re_lo - w.real, w.real - self.re_hi), 0.0)
+        dy = np.maximum(np.maximum(self.im_lo - w.imag, w.imag - self.im_hi), 0.0)
+        bound = np.maximum(dx, dy)
+        k = int(np.argmin(bound))
+        start = self.starts[k]
+        d = np.abs(self.values[start : start + self.sizes[k]] - w).min()
+        chunks = np.flatnonzero(bound <= d)
+        sizes = self.sizes[chunks]
+        rows = np.repeat(self.starts[chunks] - (np.cumsum(sizes) - sizes), sizes)
+        rows += np.arange(len(rows))
+        return int(rows[np.argmin(np.abs(self.values[rows] - w))])
+
+
+@dataclass
 class ConformalMap:
     """Immutable bundle of the assembled disc map on one grid.
 
@@ -149,7 +214,8 @@ class ConformalMap:
     H = z * h.  ``slope_x``/``slope_y`` are node derivatives of g used by
     ``eval_derivative``; ``one_sided`` marks nodes where a rim-adjacent
     one-sided difference replaced the central one.  ``modulus`` is the
-    rim-modulus report, built once with the map.
+    rim-modulus report, built once with the map; ``node_index`` is the
+    nearest-node index, built on first use.
     """
 
     grid: DyadicGrid
@@ -167,6 +233,10 @@ class ConformalMap:
     @property
     def domain(self) -> Domain:
         return self.grid.domain
+
+    @cached_property
+    def node_index(self) -> NodeIndex:
+        return NodeIndex.build(self.grid, self.values)
 
 
 def _node_slopes(grid: DyadicGrid, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

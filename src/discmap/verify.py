@@ -13,6 +13,7 @@ closeness of the raw winding to an integer.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -43,6 +44,14 @@ def _own_grid(m: ConformalMap, grid: Optional[DyadicGrid]) -> DyadicGrid:
     if grid is not None and grid is not m.grid:
         raise ValueError("grid must be the map's own grid")
     return m.grid
+
+
+def _finite(w) -> complex:
+    """w as a complex number; ValueError when it is not finite."""
+    w = complex(w)
+    if not cmath.isfinite(w):
+        raise ValueError(f"w = {w} is not finite")
+    return w
 
 
 def max_node_derivative(m: ConformalMap) -> float:
@@ -126,10 +135,11 @@ def count_preimages(
     IndeterminateWinding.
 
     ``cache`` keeps the ladder's rebuilds, keyed by (domain, level, tol,
-    shift), so one dict may serve several maps.
+    shift), so one dict may serve several maps.  A w that is not finite
+    raises ValueError.
     """
     grid = _own_grid(m, grid)
-    w = complex(w)
+    w = _finite(w)
     mod = m.modulus
     margin = mod.margin
     aw = abs(w)
@@ -215,17 +225,22 @@ def conformality_residual(m: ConformalMap, grid: Optional[DyadicGrid] = None) ->
 def inverse_map(m: ConformalMap, grid: Optional[DyadicGrid], w: complex) -> Point:
     """Preimage of w by damped Newton iteration on the interpolated map.
 
-    Starts from the node whose sample lies nearest w; each step is damped
-    until the residual decreases and the iterate stays inside the covered
-    region.  Succeeds at |H(z) - w| <= 1e-6 within 50 steps, else raises
-    NewtonStalled carrying the best iterate.
+    Starts from the node whose sample lies nearest w, the lowest row on a
+    tie; the map's nearest-node index (``ConformalMap.node_index``, built
+    on the first inversion) finds the same node a scan of every node
+    would.  Each step is damped until the residual decreases and the
+    iterate stays inside the covered region, and the accepted candidate's
+    H value serves the next step.  Succeeds at |H(z) - w| <= 1e-6 within
+    50 steps, else raises NewtonStalled carrying the best iterate.  A w
+    that is not finite raises ValueError.
     """
     grid = _own_grid(m, grid)
-    w = complex(w)
-    start = int(np.argmin(np.abs(m.values - w)))
+    w = _finite(w)
+    start = m.node_index.nearest(w)
     x, y = grid.nodes[start] * grid.spacing + grid.shift
     z = complex(x, y)
     resid = abs(m.values[start] - w)
+    hz = None  # H at z, once evaluated
     best_z, best_resid = z, resid
     for _ in range(50):
         if resid <= 1e-6:
@@ -233,18 +248,21 @@ def inverse_map(m: ConformalMap, grid: Optional[DyadicGrid], w: complex) -> Poin
         deriv = eval_derivative(m, (z.real, z.imag))
         if deriv == 0:
             break
-        step = (eval_map(m, (z.real, z.imag)) - w) / deriv
+        if hz is None:
+            hz = eval_map(m, (z.real, z.imag))
+        step = (hz - w) / deriv
         scale = 1.0
         moved = False
         while scale >= 1.0 / 64.0:
             cand = z - scale * step
             try:
-                cand_resid = abs(eval_map(m, (cand.real, cand.imag)) - w)
+                cand_h = eval_map(m, (cand.real, cand.imag))
             except OutsideGrid:
                 scale /= 2.0
                 continue
+            cand_resid = abs(cand_h - w)
             if cand_resid < resid:
-                z, resid = cand, cand_resid
+                z, hz, resid = cand, cand_h, cand_resid
                 moved = True
                 break
             scale /= 2.0

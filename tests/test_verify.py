@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from conftest import DOMAIN_NAMES
 from discmap import (
     ModulusReport,
     NewtonStalled,
+    OutsideGrid,
     ScalarField,
     TooCoarse,
     assemble_map,
@@ -22,9 +25,9 @@ from discmap import (
     inverse_map,
     verification_report,
 )
-from discmap import mapping
+from discmap import build_map, mapping
 from discmap.dirichlet import DEFAULT_TOL
-from discmap.mapping import eval_map
+from discmap.mapping import NodeIndex, eval_derivative, eval_map
 from discmap.verify import max_node_derivative
 
 CLI_PROBES = (0j, 1.1 + 0j, -1.1 + 0j, 1.1j, -1.1j)
@@ -276,6 +279,112 @@ def test_inverse_map_stalls_outside_range(map_for):
     assert err.value.residual > 1.0
     x, y = err.value.best
     assert isinstance(x, float) and isinstance(y, float)
+
+
+NON_FINITE = (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf))
+
+
+def test_non_finite_w_is_rejected_before_any_work(map_for):
+    m = map_for("disc", 4)
+    for w in NON_FINITE:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^w = .* is not finite$"):
+                count_preimages(m, None, w)
+            with pytest.raises(ValueError, match=r"^w = .* is not finite$"):
+                inverse_map(m, None, w)
+
+
+def _index_probes(m, seed):
+    """Seeded w in |w| <= 1.2, midpoints of adjacent rim node values
+    (near ties), w = 0 and w = 5."""
+    rng = np.random.default_rng(seed)
+    seeded = 1.2 * np.sqrt(rng.uniform(0.0, 1.0, 24)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 24))
+    a, b = m.values[m.grid.rim[::max(1, len(m.grid.rim) // 16)]].T
+    return [complex(w) for w in (*seeded, *((a + b) / 2.0), 0.0, 5.0)]
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_node_index_start_is_the_argmin_node(map_for, name):
+    nodes4 = map_for("disc", 4).values
+    for level in (4, 5, 6, 7):
+        for shift in (0.0, 2.0**-level / 16):
+            m = map_for(name, level, shift)
+            probes = _index_probes(m, level)
+            if level == 4:
+                probes += [complex(w) for w in nodes4]  # exact hits on the disc
+            for w in probes:
+                assert m.node_index.nearest(w) == np.argmin(np.abs(m.values - w))
+
+
+def test_node_index_resolves_ties_to_the_lowest_row(map_for):
+    # node values snapped to a coarse lattice: most nodes tie with others
+    m = map_for("ell", 5)
+    coarse = np.round(m.values * 8.0) / 8.0
+    index = NodeIndex.build(m.grid, coarse)
+    for w in (0j, 0.0625 + 0.0625j, 0.3 - 0.2j, *coarse[::97]):
+        assert index.nearest(complex(w)) == np.argmin(np.abs(coarse - w))
+
+
+def _reference_inverse(m, w):
+    # inverse_map as it was before the node index: a scan of every node
+    # for the start and an eval_map at the top of every step
+    start = int(np.argmin(np.abs(m.values - w)))
+    x, y = m.grid.nodes[start] * m.grid.spacing + m.grid.shift
+    z = complex(x, y)
+    resid = abs(m.values[start] - w)
+    best_z, best_resid = z, resid
+    for _ in range(50):
+        if resid <= 1e-6:
+            return (z.real, z.imag)
+        deriv = eval_derivative(m, (z.real, z.imag))
+        if deriv == 0:
+            break
+        step = (eval_map(m, (z.real, z.imag)) - w) / deriv
+        scale = 1.0
+        moved = False
+        while scale >= 1.0 / 64.0:
+            cand = z - scale * step
+            try:
+                cand_resid = abs(eval_map(m, (cand.real, cand.imag)) - w)
+            except OutsideGrid:
+                scale /= 2.0
+                continue
+            if cand_resid < resid:
+                z, resid = cand, cand_resid
+                moved = True
+                break
+            scale /= 2.0
+        if not moved:
+            break
+        if resid < best_resid:
+            best_z, best_resid = z, resid
+    if resid <= 1e-6:
+        return (z.real, z.imag)
+    return ("stalled", (best_z.real, best_z.imag), best_resid)
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_inverse_map_matches_the_scan_start_routine(map_for, name):
+    for level in (4, 5):
+        for shift in (0.0, 2.0**-level / 16):
+            m = map_for(name, level, shift)
+            for w in _index_probes(m, level)[:12] + [0j, 5.0 + 0j]:
+                try:
+                    got = inverse_map(m, None, w)
+                except NewtonStalled as err:
+                    got = ("stalled", err.best, err.residual)
+                assert got == _reference_inverse(m, w)
+
+
+def test_node_index_is_built_on_first_inversion(domains):
+    m = build_map(domains["square"], 4)
+    assert count_preimages(m, None, 0.2 + 0.1j).count == 1
+    assert "node_index" not in vars(m)
+    inverse_map(m, None, 0.2 + 0.1j)
+    index = vars(m)["node_index"]
+    inverse_map(m, None, -0.3j)
+    assert m.node_index is index
 
 
 def test_bijectivity_sweep_all_ones(map_for):
