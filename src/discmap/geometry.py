@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     DegenerateGeometry,
@@ -244,32 +247,31 @@ def _inside_many(domain: Domain, pts: np.ndarray) -> np.ndarray:
 
     Polygon: even-odd ray casting with the half-open edge rule; points
     exactly on an edge report False.  Disc: strict radius comparison.
+    Points are tested against every edge at once, in blocks of about
+    ``_BLOCK`` (point, edge) pairs, and a point's parity is the XOR of
+    its crossings.
     """
     px = pts[:, 0]
     py = pts[:, 1]
     if domain.kind == "disc":
         cx, cy = domain.center
         return (px - cx) ** 2 + (py - cy) ** 2 < domain.radius**2
-    inside = np.zeros(len(pts), dtype=bool)
-    on_edge = np.zeros(len(pts), dtype=bool)
-    verts = domain.vertices
-    n = len(verts)
-    for i in range(n):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
-        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        on_edge |= (
-            (cross == 0.0)
-            & (px >= min(ax, bx))
-            & (px <= max(ax, bx))
-            & (py >= min(ay, by))
-            & (py <= max(ay, by))
-        )
-        cond = (ay > py) != (by > py)
+    ax, ay, bx, by = _edge_ends(domain.vertices)
+    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
+    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
+    out = np.empty(len(pts), dtype=bool)
+    rows = max(1, _BLOCK // len(ax))
+    for lo in range(0, len(pts), rows):
+        x = px[lo : lo + rows, None]
+        y = py[lo : lo + rows, None]
+        cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+        on_edge = (cross == 0.0) & (x >= xlo) & (x <= xhi) & (y >= ylo) & (y <= yhi)
+        cond = (ay > y) != (by > y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xint = ax + (py - ay) * (bx - ax) / (by - ay)
-        inside ^= cond & (px < xint)
-    return inside & ~on_edge
+            xint = ax + (y - ay) * (bx - ax) / (by - ay)
+        inside = np.logical_xor.reduce(cond & (x < xint), axis=1)
+        out[lo : lo + rows] = inside & ~on_edge.any(axis=1)
+    return out
 
 
 def contains(domain: Domain, point: Point) -> bool:
@@ -737,38 +739,76 @@ def spanning_fill(
 
     Row r's arm k leads to row ``neighbors[r, k]`` (-1 when absent), and
     stepping along it adds ``increment[r, k]``; entries at absent arms are
-    ignored.  ``start`` carries 0 and values spread breadth first.  Arms
-    are tried in column order and a row reached twice in one sweep keeps
-    its first writer, so the tree, and every value, is deterministic.
-    Returns the values and the closure: the worst
+    ignored.  Each arm must be one-to-one: no two rows reach the same row
+    by the same arm, as on a lattice.  ``start`` carries 0, and the tree is
+    breadth first: a row's parent is the row one BFS level nearer
+    ``start`` that reaches it by the lowest-numbered arm, so the tree, and
+    every value, is deterministic.
+
+    The depths come from a compiled breadth-first search, the parents
+    from whole-array passes, and the values from one gather-add per
+    level, value = parent's value + increment, the additions a frontier
+    sweep makes.  Returns the values and the closure: the worst
     |value[dst] - value[src] - increment| over all arms, which stays at
     rounding level exactly when the increments around every cycle sum to
-    zero.  Raises ValueError when some row cannot be reached.
+    zero.  Raises ValueError when ``start`` is not a row, when some row
+    cannot be reached, or when two rows of one level reach a row by the
+    same arm.
     """
-    values = np.zeros(len(neighbors), dtype=increment.dtype)
-    seen = np.zeros(len(neighbors), dtype=bool)
-    seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while len(frontier):
-        nxt = []
-        for k in range(neighbors.shape[1]):
-            dst = neighbors[frontier, k]
-            fresh = dst >= 0
-            fresh[fresh] = ~seen[dst[fresh]]
-            if not fresh.any():
-                continue
-            dst, first = np.unique(dst[fresh], return_index=True)
-            src = frontier[fresh][first]
-            values[dst] = values[src] + increment[src, k]
-            seen[dst] = True
-            nxt.append(dst)
-        frontier = np.concatenate(nxt) if nxt else frontier[:0]
-    if not seen.all():
+    rows, arms = neighbors.shape
+    start = operator.index(start)
+    if not 0 <= start < rows:
+        raise ValueError(f"start {start} is not a row of a {rows}-row graph")
+    # CSR straight from the arm table; an absent arm leads back to start,
+    # which the search has already visited
+    targets = neighbors.astype(np.int32)
+    targets[targets < 0] = start
+    indptr = np.arange(0, targets.size + 1, arms, dtype=np.int32)
+    weights = np.broadcast_to(1.0, (targets.size,))  # never read by the search
+    graph = csr_matrix((weights, targets.ravel(), indptr), shape=(rows, rows))
+    order, pred = breadth_first_order(graph, start)
+    if len(order) < rows:
         raise ValueError("graph is not connected at this level; refine the grid")
+    pos = np.empty(rows, dtype=np.intp)
+    pos[order] = np.arange(rows)
+    # in breadth-first order each row's predecessor sits no earlier than
+    # the one before's, so level d + 1 is the run whose predecessors lie
+    # in level d
+    pred[start] = start
+    up = pos[pred][order[1:]]
+    bounds = [0, 1]
+    while bounds[-1] < rows:
+        bounds.append(1 + int(np.searchsorted(up, bounds[-1])))
+    depth = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))[pos]
+
+    # tree[t] = r * arms + k for the arm (r, k) that reaches row t from the
+    # level above; arms are written from the last to the first, so the
+    # lowest one is kept
+    ends = neighbors.T
+    forward = depth[ends] == depth + 1
+    forward &= ends >= 0
+    tree = np.zeros(rows, dtype=np.intp)
+    for k in reversed(range(arms)):
+        src = np.flatnonzero(forward[k])
+        dst = ends[k, src]
+        code = src * arms + k
+        tree[dst] = code
+        if not (tree[dst] == code).all():
+            raise ValueError(f"two rows of one level reach a row by arm {k}")
+    tree = tree[order]
+    parent = pos[tree // arms]
+    step = np.take(increment, tree)
+    filled = np.zeros(rows, dtype=increment.dtype)
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        filled[lo:hi] = filled[parent[lo:hi]] + step[lo:hi]
+    values = filled[pos]
+
+    # an absent arm reads row -1, and its defect is masked out; each arm's
+    # worst defect is folded in by Python's max, which passes over a nan
+    defect = values[neighbors]
+    defect -= values[:, None]
+    defect -= increment
     closure = 0.0
-    for k in range(neighbors.shape[1]):
-        src = np.nonzero(neighbors[:, k] >= 0)[0]
-        if len(src):
-            defect = np.abs(values[neighbors[src, k]] - values[src] - increment[src, k])
-            closure = max(closure, float(defect.max()))
+    for worst in np.abs(defect).max(axis=0, where=neighbors >= 0, initial=0.0):
+        closure = max(closure, float(worst))
     return values, closure

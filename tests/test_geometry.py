@@ -350,6 +350,28 @@ def test_spanning_fill_reports_cycle_defect():
     assert closure == 4.0
 
 
+@pytest.mark.parametrize("start", [-1, 4, 2**40])
+def test_spanning_fill_rejects_start_outside_rows(start):
+    ring = np.array([[1, 3], [2, 0], [3, 1], [0, 2]])
+    with pytest.raises(ValueError, match="is not a row"):
+        spanning_fill(ring, start, np.ones((4, 2)))
+
+
+def test_spanning_fill_tree_takes_lowest_arm_one_level_up():
+    # rows 1 and 2 sit one level below 0; row 3 is reached from 2 by arm
+    # 0 and from 1 by arm 1, and keeps arm 0 whatever the row order
+    nb = np.array([[1, 2], [-1, 3], [3, -1], [-1, -1]])
+    values, _ = spanning_fill(nb, 0, np.array([[1.0, 2.0], [0.0, 10.0], [100.0, 0.0], [0.0, 0.0]]))
+    assert values.tolist() == [0.0, 1.0, 2.0, 102.0]
+
+
+def test_spanning_fill_rejects_arm_reaching_a_row_twice():
+    # rows 1 and 2 both reach row 3 by arm 0, so no arm decides the tree
+    nb = np.array([[1, 2], [3, -1], [3, -1], [-1, -1]])
+    with pytest.raises(ValueError, match="by arm 0"):
+        spanning_fill(nb, 0, np.ones((4, 2)))
+
+
 def _inside_reference(domain, xv, yv):
     gx, gy = np.meshgrid(xv, yv, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
