@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -146,7 +146,7 @@ def _prolongation(coords: np.ndarray) -> Tuple[csr_matrix, np.ndarray]:
     point at a pinned or absent node are dropped: the correction is zero
     there.
     """
-    half, odd = np.divmod(coords, 2)
+    half, odd = coords >> 1, coords & 1
     even = ~odd.any(axis=1)
     lo = half.min(axis=0)
     stride = int(half[:, 1].max() - lo[1]) + 2
@@ -158,7 +158,7 @@ def _prolongation(coords: np.ndarray) -> Tuple[csr_matrix, np.ndarray]:
     for slot, (d1, d2) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
         reach = (odd[:, 0] >= d1) & (odd[:, 1] >= d2)
         cols[:, slot] = np.where(reach, table[key + d1 * stride + d2], -1)
-    weights = 0.5 ** odd.sum(axis=1)
+    weights = np.array([1.0, 0.5, 0.25])[odd.sum(axis=1)]
     return _slot_matrix(cols, weights[:, None], int(even.sum())), half[even]
 
 
@@ -169,23 +169,24 @@ def _v_cycle(a: csr_matrix, coords: np.ndarray) -> LinearOperator:
     COARSEST_SIZE gets the exact ``splu`` solve alone.
     """
     n = a.shape[0]
-    levels = []  # (A, omega / diag(A), P) per level above the coarsest
+    levels = []  # (A, omega / diag(A), P, P.T) per level above the coarsest
     while a.shape[0] > COARSEST_SIZE and (coords % 2 == 0).all(axis=1).any():
         p, coords = _prolongation(coords)
-        levels.append((a, JACOBI_DAMPING / a.diagonal(), p))
-        a = (p.T @ a @ p).tocsr()
+        r = p.T  # a CSC view sharing p's arrays, taken once
+        levels.append((a, JACOBI_DAMPING / a.diagonal(), p, r))
+        a = (r @ a @ p).tocsr()
     coarsest = splu(a.tocsc())
 
     # a down loop and an up loop, so the operator holds no reference cycle
     def apply(b):
         rhs, corr = [], []
-        for a_l, dinv, p in levels:
+        for a_l, dinv, _, r in levels:
             x = dinv * b
             rhs.append(b)
             corr.append(x)
-            b = p.T @ (b - a_l @ x)
+            b = r @ (b - a_l @ x)
         x = coarsest.solve(b)
-        for (a_l, dinv, p), b, x_l in zip(levels[::-1], rhs[::-1], corr[::-1]):
+        for (a_l, dinv, p, _), b, x_l in zip(levels[::-1], rhs[::-1], corr[::-1]):
             x_l += p @ x
             x = x_l + dinv * (b - a_l @ x_l)
         return x
@@ -380,22 +381,48 @@ def punctured_disc_profile(
     )
 
 
-def _node_table(grid: DyadicGrid, header: str, *columns: np.ndarray) -> str:
-    """CSV text: ``header``, then ``x,y`` and the float ``columns`` of each node in
-    grid order, every float as its ``repr``; each distinct coordinate is formatted
-    once, and the columns ``geometry._BLOCK`` rows at a time."""
-    xs, ys = (
-        np.array(list(map(repr, (lines * grid.spacing + grid.shift).tolist())), dtype=object)[at]
-        for lines, at in (np.unique(lattice, return_inverse=True) for lattice in grid.nodes.T)
-    )
-    fmt = ",".join(["{}", "{}"] + ["{!r}"] * len(columns)).format
-    blocks = (slice(lo, lo + geometry._BLOCK) for lo in range(0, grid.node_count, geometry._BLOCK))
-    body = ("\n".join(map(fmt, xs[b], ys[b], *(c[b].tolist() for c in columns))) for b in blocks)
-    return "\n".join([header, *body]) + "\n"
+FIELD_TABLE = ("x,y,value", 1)  # (header, value columns) of field.csv
+
+
+def _node_tables(
+    grid: DyadicGrid, columns: Sequence[np.ndarray], *tables: Tuple[str, int]
+) -> Iterator[Tuple[str, ...]]:
+    """Stream CSV node tables that share their leading columns, in one pass.
+
+    A table ``(header, k)`` has one row ``x,y`` plus the first k ``columns``
+    per node, in grid order, every float as its ``repr``.  Each step yields
+    one string per table: the header lines first, then the rows of
+    ``geometry._BLOCK`` nodes at a time.  Each float of a block is formatted
+    once however many tables hold it.  The coordinates of the lattice lines
+    between the grid's extreme nodes are formatted once in all; beside
+    them, memory holds the strings of one block at a time.
+    """
+    lo, hi = grid.nodes.min(axis=0), grid.nodes.max(axis=0)
+    lines = (np.arange(a, b + 1) * grid.spacing + grid.shift for a, b in zip(lo, hi))
+    xs, ys = (np.array(list(map(repr, v.tolist())), dtype=object) for v in lines)
+    yield tuple(header + "\n" for header, _ in tables)
+    for start in range(0, grid.node_count, geometry._BLOCK):
+        b = slice(start, start + geometry._BLOCK)
+        n1, n2 = (grid.nodes[b] - lo).T
+        fields = [xs[n1].tolist(), ys[n2].tolist()]
+        fields += (list(map(repr, c[b].tolist())) for c in columns)
+        yield tuple(_csv_rows(fields[: 2 + k]) for _, k in tables)
+        del fields  # free this block's strings before the next block is formatted
+
+
+def _csv_rows(fields: List[List[str]]) -> str:
+    """CSV lines whose row i is ``fields[0][i],fields[1][i],...``, assembled
+    by one join over an interleaved list of fields and separators."""
+    width, rows = len(fields), len(fields[0])
+    parts: List[Optional[str]] = [None] * (2 * width * rows)
+    parts[1::2] = ([","] * (width - 1) + ["\n"]) * rows
+    for j, field in enumerate(fields):
+        parts[2 * j :: 2 * width] = field
+    return "".join(parts)
 
 
 def field_csv(fld: ScalarField) -> str:
     """CSV body ``x,y,value``, one row per node in grid order, (n2, n1), every
     float written as its Python ``repr`` (the shortest round-trip form); the
     columns equal the ``x,y,g`` columns of ``mapping.map_csv``."""
-    return _node_table(fld.grid, "x,y,value", fld.values)
+    return "".join(text for text, in _node_tables(fld.grid, (fld.values,), FIELD_TABLE))

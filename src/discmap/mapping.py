@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from .dirichlet import DEFAULT_TOL, ScalarField, _node_table, boundary_data, solve_dirichlet
+from .dirichlet import DEFAULT_TOL, ScalarField, _node_tables, boundary_data, solve_dirichlet
 from .errors import ClosureFailure, OutsideGrid
 from .geometry import Domain, DyadicGrid, build_grid, spanning_fill
 
@@ -25,6 +25,7 @@ Point = Tuple[float, float]
 
 RIM_SAMPLES = 8
 INDEX_CHUNK = 64  # most nodes per chunk of the nearest-node index
+MAP_TABLE = ("x,y,g,gconj,reH,imH", 4)  # (header, value columns) of map.csv
 
 
 def _cell_gradients(grid: DyadicGrid, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -88,14 +89,16 @@ def harmonic_conjugate(grid: DyadicGrid, pot: ScalarField) -> ScalarField:
     gx, gy = _cell_gradients(grid, g)
     h = grid.spacing
     sums = np.zeros(grid.node_count)
-    counts = np.zeros(grid.node_count)
+    counts = np.bincount(grid.cell_corners.ravel(), None, grid.node_count)
     # corner offsets from the cell center, in corner-slot order SW SE NW NE
     offsets = ((-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5))
+    # a node is a corner at most once per slot, so adding slot by slot
+    # keeps each node's order of summation; bincount would copy the
+    # strided index column, so it is made contiguous here
     for slot, (ox, oy) in enumerate(offsets):
-        rows = grid.cell_corners[:, slot]
+        rows = np.ascontiguousarray(grid.cell_corners[:, slot])
         contrib = conj + (ox * h) * (-gy) + (oy * h) * gx
-        np.add.at(sums, rows, contrib)
-        np.add.at(counts, rows, 1.0)
+        sums += np.bincount(rows, contrib, grid.node_count)
     node_conj = sums / counts
     return ScalarField(grid=grid, values=node_conj, residual=closure)
 
@@ -364,8 +367,16 @@ def eval_derivative(m: ConformalMap, z, with_flag: bool = False):
     return complex(deriv[0]) if single else deriv
 
 
+def node_tables(m: ConformalMap, *tables: Tuple[str, int]) -> Iterator[Tuple[str, ...]]:
+    """Stream node tables of the map as ``dirichlet._node_tables`` does, over
+    the columns g, gconj, reH, imH: ``MAP_TABLE`` is map.csv, and
+    ``dirichlet.FIELD_TABLE`` is field.csv of the potential, since g is the
+    first column."""
+    cols = (m.potential.values, m.conjugate.values, m.values.real, m.values.imag)
+    return _node_tables(m.grid, cols, *tables)
+
+
 def map_csv(m: ConformalMap) -> str:
     """Node table ``x,y,g,gconj,reH,imH``, written as ``dirichlet.field_csv``
     writes ``x,y,value``; the ``x,y,g`` columns equal that file's."""
-    cols = (m.potential.values, m.conjugate.values, m.values.real, m.values.imag)
-    return _node_table(m.grid, "x,y,g,gconj,reH,imH", *cols)
+    return "".join(text for text, in node_tables(m, MAP_TABLE))

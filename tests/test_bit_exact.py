@@ -1,5 +1,7 @@
-"""The whole-array spanning fill and containment test against the loops
-they replaced, kept here as references: equal bits, equal closures."""
+"""Whole-array code against the loops and expressions it replaced, kept
+here as references: the spanning fill and containment test (equal bits,
+equal closures), the node transport of the conjugate, and the V-cycle's
+prolongation."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from discmap import barrier, contains, geometry, load_domain, mapping, normalize_origin
+from discmap import barrier, contains, dirichlet, geometry, load_domain, mapping, normalize_origin
 from discmap.barrier import boundary_probes
 from discmap.geometry import _inside_many, spanning_fill
 
@@ -201,3 +203,63 @@ def test_normalize_origin_matches_per_edge_reference(monkeypatch):
     monkeypatch.setattr(geometry, "_inside_many", _inside_per_edge)
     assert got == [normalize_origin(d) for d in domains]
     assert sum(g.translation != (0.0, 0.0) for g in got) >= 5
+
+
+def _node_transport_add_at(grid, pot):
+    """harmonic_conjugate's node values with one ``np.add.at`` scatter per
+    corner slot, for the sums and for the counts."""
+    conj, _ = mapping.conjugate_on_cells(grid, pot.values)
+    gx, gy = mapping._cell_gradients(grid, pot.values)
+    h = grid.spacing
+    sums = np.zeros(grid.node_count)
+    counts = np.zeros(grid.node_count)
+    offsets = ((-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5))
+    for slot, (ox, oy) in enumerate(offsets):
+        rows = grid.cell_corners[:, slot]
+        contrib = conj + (ox * h) * (-gy) + (oy * h) * gx
+        np.add.at(sums, rows, contrib)
+        np.add.at(counts, rows, 1.0)
+    return sums / counts
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_harmonic_conjugate_matches_add_at_transport(map_for, name):
+    for level in (3, 6):
+        for shift in (0.0, 2.0**-level / 16):
+            m = map_for(name, level, shift)
+            got = mapping.harmonic_conjugate(m.grid, m.potential).values
+            assert got.tobytes() == _node_transport_add_at(m.grid, m.potential).tobytes()
+
+
+def _prolongation_divmod(coords):
+    """``dirichlet._prolongation`` with ``np.divmod`` and 0.5 ** (odd count)."""
+    half, odd = np.divmod(coords, 2)
+    even = ~odd.any(axis=1)
+    lo = half.min(axis=0)
+    stride = int(half[:, 1].max() - lo[1]) + 2
+    key = (half[:, 0] - lo[0]) * stride + (half[:, 1] - lo[1])
+    table = np.full((int(half[:, 0].max() - lo[0]) + 2) * stride, -1, dtype=np.int32)
+    table[key[even]] = np.arange(int(even.sum()), dtype=np.int32)
+    cols = np.empty((len(coords), 4), dtype=np.int32)
+    for slot, (d1, d2) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        reach = (odd[:, 0] >= d1) & (odd[:, 1] >= d2)
+        cols[:, slot] = np.where(reach, table[key + d1 * stride + d2], -1)
+    weights = 0.5 ** odd.sum(axis=1)
+    return dirichlet._slot_matrix(cols, weights[:, None], int(even.sum())), half[even]
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_prolongation_matches_divmod_reference(grid_for, name):
+    # every level of the hierarchy, down to a single coarse node
+    for shift in (0.0, 2.0**-6 / 16):
+        grid = grid_for(name, 6, shift)
+        coords = grid.nodes[grid.interior]
+        while len(coords) > 1 and (coords % 2 == 0).all(axis=1).any():
+            p, coarse = dirichlet._prolongation(coords)
+            ref, ref_coarse = _prolongation_divmod(coords)
+            for attr in ("indptr", "indices", "data"):
+                got, want = getattr(p, attr), getattr(ref, attr)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert p.shape == ref.shape
+            assert np.array_equal(coarse, ref_coarse)
+            coords = coarse

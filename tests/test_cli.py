@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from discmap import dirichlet
-from discmap.cli import main
+from discmap import dirichlet, geometry, mapping
+from discmap.cli import _write_tables, main
 
 DISC = '{"type": "disc", "center": [0.0, 0.0], "radius": 1.0}'
 SQUARE = (
@@ -56,6 +57,38 @@ def test_solve_rerun_byte_identical(disc_file, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+def test_failed_table_write_keeps_older_tables(disc_file, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert _run("solve", "--domain", disc_file, "--level", "3", "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    node_tables = mapping._node_tables
+
+    def fail_after_first_block(*args):
+        chunks = node_tables(*args)
+        yield next(chunks)  # the header lines
+        yield next(chunks)
+        raise RuntimeError("table writer failed")
+
+    monkeypatch.setattr(geometry, "_BLOCK", 7)
+    monkeypatch.setattr(mapping, "_node_tables", fail_after_first_block)
+    with pytest.raises(RuntimeError, match="table writer failed"):
+        _run("solve", "--domain", disc_file, "--level", "4", "--out", str(out))
+    # same names, so no temporary file is left; same bytes in each file
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_table_writer_holds_one_block_at_a_time(map_for, tmp_path, monkeypatch):
+    m = map_for("ell", 7)
+    monkeypatch.setattr(geometry, "_BLOCK", 1024)
+    tracemalloc.start()
+    try:
+        _write_tables(m, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "map.csv").stat().st_size / 2
 
 
 def test_verify_writes_report(square_file, tmp_path):

@@ -23,6 +23,7 @@ from discmap import (
     solve_dirichlet,
 )
 from discmap import geometry
+from discmap.cli import _write_tables
 from discmap.dirichlet import DEFAULT_TOL
 
 from conftest import DOMAIN_NAMES
@@ -306,9 +307,10 @@ def _map_csv_reference(m):
 
 @pytest.mark.parametrize("name", DOMAIN_NAMES)
 @pytest.mark.parametrize("level", [4, 5, 6])
-def test_node_tables_match_per_row_writers(map_for, monkeypatch, name, level):
+def test_node_tables_match_per_row_writers(map_for, monkeypatch, tmp_path, name, level):
     # shifts: none, a dyadic one, and one whose coordinates are not
-    # lattice-exact; a block of 7 rows puts block seams inside every table
+    # lattice-exact; a block of 7 rows puts block seams inside every table.
+    # The one-pass writer of `discmap solve` must write the same bytes.
     for shift in (0.0, 2.0**-level / 16, 0.001):
         m = map_for(name, level, shift)
         field_ref, map_ref = _field_csv_reference(m.potential), _map_csv_reference(m)
@@ -317,6 +319,9 @@ def test_node_tables_match_per_row_writers(map_for, monkeypatch, name, level):
             field_text, map_text = field_csv(m.potential), map_csv(m)
             assert field_text == field_ref
             assert map_text == map_ref
+            assert _write_tables(m, str(tmp_path)) == ["field.csv", "map.csv"]
+            assert (tmp_path / "field.csv").read_bytes() == field_ref.encode()
+            assert (tmp_path / "map.csv").read_bytes() == map_ref.encode()
         monkeypatch.undo()
         field_rows = field_text.splitlines()[1:]
         map_rows = map_text.splitlines()[1:]
