@@ -130,8 +130,11 @@ def _slot_matrix(cols: np.ndarray, values, width: int) -> csr_matrix:
     ``cols``) in column ``cols[r, k]`` for every slot k with
     ``cols[r, k] >= 0``; slots must come in ascending column order."""
     taken = cols >= 0
+    counts = np.zeros(len(cols), dtype=np.int32)
+    for k in range(cols.shape[1]):
+        counts += taken[:, k]
     indptr = np.zeros(len(cols) + 1, dtype=np.int32)
-    np.cumsum(taken.sum(axis=1), out=indptr[1:])
+    np.cumsum(counts, out=indptr[1:])
     data = np.broadcast_to(np.asarray(values, dtype=float), cols.shape)[taken]
     return csr_matrix((data, cols[taken], indptr), shape=(len(cols), width))
 
@@ -146,20 +149,32 @@ def _prolongation(coords: np.ndarray) -> Tuple[csr_matrix, np.ndarray]:
     point at a pinned or absent node are dropped: the correction is zero
     there.
     """
-    half, odd = coords >> 1, coords & 1
-    even = ~odd.any(axis=1)
-    lo = half.min(axis=0)
-    stride = int(half[:, 1].max() - lo[1]) + 2
-    key = (half[:, 0] - lo[0]) * stride + (half[:, 1] - lo[1])
-    table = np.full((int(half[:, 0].max() - lo[0]) + 2) * stride, -1, dtype=np.int32)
+    # whole columns: numpy reduces and shifts an (M, 2) array more slowly
+    half1, half2 = coords[:, 0] >> 1, coords[:, 1] >> 1
+    odd1, odd2 = coords[:, 0] & 1, coords[:, 1] & 1
+    even = (odd1 | odd2) == 0
+    lo1, lo2 = half1.min(), half2.min()
+    stride = int(half2.max() - lo2) + 2
+    key = (half1 - lo1) * stride + (half2 - lo2)
+    table = np.full((int(half1.max() - lo1) + 2) * stride, -1, dtype=np.int32)
     table[key[even]] = np.arange(int(even.sum()), dtype=np.int32)
     cols = np.empty((len(coords), 4), dtype=np.int32)
     # parent steps in (n2, n1) order, so columns ascend along each row
     for slot, (d1, d2) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-        reach = (odd[:, 0] >= d1) & (odd[:, 1] >= d2)
+        reach = (odd1 >= d1) & (odd2 >= d2)
         cols[:, slot] = np.where(reach, table[key + d1 * stride + d2], -1)
-    weights = np.array([1.0, 0.5, 0.25])[odd.sum(axis=1)]
-    return _slot_matrix(cols, weights[:, None], int(even.sum())), half[even]
+    weights = np.array([1.0, 0.5, 0.25])[odd1 + odd2]
+    coarse = np.column_stack([half1[even], half2[even]])
+    return _slot_matrix(cols, weights[:, None], int(even.sum())), coarse
+
+
+def _galerkin(a: csr_matrix, p: csr_matrix) -> csr_matrix:
+    """The coarse operator P.T A P as CSR with sorted indices, from two CSR
+    products, so that no operand changes format.  Its entries are dyadic
+    rationals of a few bits, so the order of the products moves none."""
+    coarse = p.T.tocsr() @ (a @ p)
+    coarse.sort_indices()
+    return coarse
 
 
 def _v_cycle(a: csr_matrix, coords: np.ndarray) -> LinearOperator:
@@ -170,11 +185,11 @@ def _v_cycle(a: csr_matrix, coords: np.ndarray) -> LinearOperator:
     """
     n = a.shape[0]
     levels = []  # (A, omega / diag(A), P, P.T) per level above the coarsest
-    while a.shape[0] > COARSEST_SIZE and (coords % 2 == 0).all(axis=1).any():
+    while a.shape[0] > COARSEST_SIZE and ((coords[:, 0] | coords[:, 1]) & 1 == 0).any():
         p, coords = _prolongation(coords)
         r = p.T  # a CSC view sharing p's arrays, taken once
         levels.append((a, JACOBI_DAMPING / a.diagonal(), p, r))
-        a = (r @ a @ p).tocsr()
+        a = _galerkin(a, p)
     coarsest = splu(a.tocsc())
 
     # a down loop and an up loop, so the operator holds no reference cycle

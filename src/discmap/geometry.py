@@ -598,11 +598,18 @@ class DyadicGrid:
         Points on shared cell edges may sit in several closed squares; any
         containing cell is equivalent for interpolation because bilinear
         values agree along shared edges.  Rows are -1 for points outside
-        every cell.
+        every cell, not finite ones included.  This is the vectorised path;
+        one point is cheaper through ``locate_point``, with the same result.
         """
-        h = self.spacing
-        t1 = (points[:, 0] - self.shift) / h
-        t2 = (points[:, 1] - self.shift) / h
+        h, s = self.spacing, self.shift
+        (w1, w2), lo1, lo2 = self._cell_row.shape, self._n1lo, self._n2lo
+        # no cell lies beyond the window, so clamping a step past it moves
+        # no covered point; fmin and fmax send nan there too, so neither the
+        # division nor the integer cast below meets a huge or non-finite value
+        x = np.fmax(np.fmin(points[:, 0], (lo1 + w1 + 1) * h + s), (lo1 - 1) * h + s)
+        y = np.fmax(np.fmin(points[:, 1], (lo2 + w2 + 1) * h + s), (lo2 - 1) * h + s)
+        t1 = (x - s) / h
+        t2 = (y - s) / h
         b1 = np.floor(t1).astype(np.int64)
         b2 = np.floor(t2).astype(np.int64)
         exact1 = t1 == b1
@@ -621,6 +628,31 @@ class DyadicGrid:
         u[found] = t1[found] - corner[:, 0]
         v[found] = t2[found] - corner[:, 1]
         return rows, u, v
+
+    def locate_point(self, x: float, y: float) -> Tuple[int, float, float]:
+        """``locate`` for the one point (x, y), in Python ints and floats:
+        the scalar path, which spares one point numpy's per-call cost.
+
+        The cell is the floor square, else the first of its west, south
+        and south-west neighbors across a face the point lies on, as in
+        ``locate``, and u and v carry the same bits.  Row -1 for a point
+        outside every cell, not finite ones included.
+        """
+        h = self.spacing
+        t1 = (x - self.shift) / h
+        t2 = (y - self.shift) / h
+        table, lo1, lo2 = self._cell_row, self._n1lo, self._n2lo
+        w1, w2 = table.shape
+        # no cell lies beyond the window; the test is False for nan as well
+        if lo1 <= t1 <= lo1 + w1 and lo2 <= t2 <= lo2 + w2:
+            b1, b2 = math.floor(t1), math.floor(t2)
+            for c1, c2 in ((b1, b2), (b1 - 1, b2), (b1, b2 - 1), (b1 - 1, b2 - 1)):
+                on_faces = (c1 == b1 or t1 == b1) and (c2 == b2 or t2 == b2)
+                if on_faces and 0 <= c1 - lo1 < w1 and 0 <= c2 - lo2 < w2:
+                    row = table.item(c1 - lo1, c2 - lo2)
+                    if row >= 0:
+                        return row, t1 - c1, t2 - c2
+        return -1, 0.0, 0.0
 
     @cached_property
     def edge_pairs(self) -> np.ndarray:

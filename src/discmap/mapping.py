@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -275,8 +275,7 @@ def assemble_map(
     The conjugate's additive constant is re-fixed so its interpolated
     value at the origin is zero; H'(0) = exp(g(0)) is then real positive.
     """
-    origin = np.zeros((1, 2))
-    conj_values = conj.values - _bilinear(grid, origin, conj.values)[1][0]
+    conj_values = conj.values - _bilinear_point(grid, 0.0, 0.0, conj.values)[1]
     factor = np.exp(pot.values + 1j * conj_values)
     pts = grid.node_points()
     z = pts[:, 0] + 1j * pts[:, 1]
@@ -331,10 +330,27 @@ def _bilinear(grid: DyadicGrid, points: np.ndarray, *fields: np.ndarray):
     )
 
 
-def _as_points(z) -> Tuple[np.ndarray, bool]:
+def _bilinear_point(grid: DyadicGrid, x: float, y: float, *fields: np.ndarray):
+    """``_bilinear`` at the one point (x, y), in Python scalars: the four
+    corner rows as a list, then one value per field, with the bits the
+    array form gives."""
+    row, u, v = grid.locate_point(x, y)
+    if row < 0:
+        raise OutsideGrid(f"point ({x}, {y}) is outside the covered region")
+    c = grid.cell_corners[row].tolist()
+    w = ((1.0 - u) * (1.0 - v), u * (1.0 - v), (1.0 - u) * v, u * v)
+    return c, *(
+        w[0] * f.item(c[0]) + w[1] * f.item(c[1]) + w[2] * f.item(c[2]) + w[3] * f.item(c[3])
+        for f in fields
+    )
+
+
+def _as_points(z) -> Tuple[Union[List[float], np.ndarray], bool]:
+    """A point (x, y) as a list of two floats, or (M, 2) points as an
+    array, and whether it was the single point."""
     arr = np.asarray(z, dtype=float)
-    if arr.ndim == 1 and arr.shape == (2,):
-        return arr[None, :], True
+    if arr.shape == (2,):
+        return arr.tolist(), True
     if arr.ndim == 2 and arr.shape[1] == 2:
         return arr, False
     raise ValueError("expected a point (x, y) or an (M, 2) array of points")
@@ -343,28 +359,36 @@ def _as_points(z) -> Tuple[np.ndarray, bool]:
 def eval_map(m: ConformalMap, z):
     """H at a point (or (M, 2) array of points) inside the covered region
     by bilinear interpolation of the node samples.  Raises OutsideGrid for
-    points not covered."""
+    points not covered.  One point takes the scalar path
+    (``DyadicGrid.locate_point``), an array the vectorised one
+    (``DyadicGrid.locate``); both give the same bits."""
     pts, single = _as_points(z)
-    _, out = _bilinear(m.grid, pts, m.values)
-    return complex(out[0]) if single else out
+    if single:
+        return _bilinear_point(m.grid, *pts, m.values)[1]
+    return _bilinear(m.grid, pts, m.values)[1]
 
 
 def eval_derivative(m: ConformalMap, z, with_flag: bool = False):
     """H' at a point (or points): h * (1 + z * (g_x - i g_y)) with the
     fields bilinear-interpolated.  With ``with_flag`` the result pairs
-    with a bool (per point) marking reliance on one-sided rim stencils."""
+    with a bool (per point) marking reliance on one-sided rim stencils.
+    One point takes the scalar path, an array the vectorised one, as in
+    ``eval_map``, with the same bits."""
     pts, single = _as_points(z)
-    c, g, conj, sx, sy = _bilinear(
-        m.grid, pts, m.potential.values, m.conjugate.values, m.slope_x, m.slope_y
-    )
+    fields = (m.potential.values, m.conjugate.values, m.slope_x, m.slope_y)
+    if single:
+        x, y = pts
+        c, g, conj, sx, sy = _bilinear_point(m.grid, x, y, *fields)
+        # numpy's array loop may fuse a complex product's multiply-adds,
+        # so Python's product can differ in the last bit: the last two
+        # products run on one-element arrays
+        zc = np.array([x + 1j * y])
+        deriv = (np.exp(np.array([g + 1j * conj])) * (1.0 + zc * (sx - 1j * sy))).item()
+        return (deriv, bool(m.one_sided[c].any())) if with_flag else deriv
+    c, g, conj, sx, sy = _bilinear(m.grid, pts, *fields)
     zc = pts[:, 0] + 1j * pts[:, 1]
     deriv = np.exp(g + 1j * conj) * (1.0 + zc * (sx - 1j * sy))
-    if with_flag:
-        flagged = m.one_sided[c].any(axis=1)
-        if single:
-            return complex(deriv[0]), bool(flagged[0])
-        return deriv, flagged
-    return complex(deriv[0]) if single else deriv
+    return (deriv, m.one_sided[c].any(axis=1)) if with_flag else deriv
 
 
 def node_tables(m: ConformalMap, *tables: Tuple[str, int]) -> Iterator[Tuple[str, ...]]:

@@ -1,7 +1,9 @@
 """Whole-array code against the loops and expressions it replaced, kept
 here as references: the spanning fill and containment test (equal bits,
 equal closures), the node transport of the conjugate, and the V-cycle's
-prolongation."""
+prolongation and coarse operators.  The one-point evaluators are checked
+the other way round, against the array path they stand beside, and
+Newton inversion against itself running on that array path."""
 
 from __future__ import annotations
 
@@ -11,8 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from discmap import barrier, contains, dirichlet, geometry, load_domain, mapping, normalize_origin
+from discmap import barrier, contains, dirichlet, geometry, load_domain, mapping, normalize_origin, verify
 from discmap.barrier import boundary_probes
+from discmap.errors import NewtonStalled, OutsideGrid
 from discmap.geometry import _inside_many, spanning_fill
 
 from conftest import DOMAIN_NAMES, DOMAIN_SPECS
@@ -248,18 +251,144 @@ def _prolongation_divmod(coords):
     return dirichlet._slot_matrix(cols, weights[:, None], int(even.sum())), half[even]
 
 
+def _assert_same_csr(got, want):
+    assert got.format == want.format == "csr" and got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("name", DOMAIN_NAMES)
 def test_prolongation_matches_divmod_reference(grid_for, name):
-    # every level of the hierarchy, down to a single coarse node
+    # every level of the hierarchy, down to a single coarse node, with the
+    # coarse operators of the five-point matrix on the interior nodes
     for shift in (0.0, 2.0**-6 / 16):
         grid = grid_for(name, 6, shift)
-        coords = grid.nodes[grid.interior]
+        free = np.flatnonzero(grid.interior)
+        a, _ = dirichlet._assemble(grid, free, np.zeros(grid.node_count))
+        coords = grid.nodes[free]
         while len(coords) > 1 and (coords % 2 == 0).all(axis=1).any():
             p, coarse = dirichlet._prolongation(coords)
             ref, ref_coarse = _prolongation_divmod(coords)
-            for attr in ("indptr", "indices", "data"):
-                got, want = getattr(p, attr), getattr(ref, attr)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert p.shape == ref.shape
+            _assert_same_csr(p, ref)
             assert np.array_equal(coarse, ref_coarse)
+            # the Galerkin product as it was formed before: CSC view first
+            ref_a = (p.T @ a @ p).tocsr()
+            a = dirichlet._galerkin(a, p)
+            _assert_same_csr(a, ref_a)
             coords = coarse
+
+
+def _lattice_points(grid, seed):
+    """Seeded points over the grid's box and a margin, every node, and a
+    point on the east face of every other cell and on the north face of the
+    rest.  On a rim cell's east face, the point's floor square is missing
+    and the lookup across that square's west face fires; north faces fire
+    the south lookup, and nodes at convex north-east corners the
+    south-west one."""
+    rng = np.random.default_rng(seed)
+    lo, hi = grid.nodes.min(axis=0) - 2, grid.nodes.max(axis=0) + 2
+    face = rng.uniform(0.0, 1.0, (len(grid.cells), 2))
+    face[::2, 0] = 1.0  # east faces
+    face[1::2, 1] = 1.0  # north faces
+    lattice = np.concatenate([rng.uniform(lo, hi, (100, 2)), grid.nodes, grid.cells + face])
+    return lattice * grid.spacing + grid.shift
+
+
+def _outside_message(fn, point):
+    with pytest.raises(OutsideGrid) as info:
+        fn(point)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_one_point_path_matches_array_path(map_for, name):
+    fired = set()
+    for shift in (0.0, 2.0**-4 / 16, 0.001):
+        m = map_for(name, 4, shift)
+        g = m.grid
+        pts = _lattice_points(g, 4)
+        rows, u, v = g.locate(pts)
+        one = [g.locate_point(x, y) for x, y in pts.tolist()]
+        assert [row for row, _, _ in one] == rows.tolist()
+        assert np.array([uv for _, *uv in one]).tobytes() == np.column_stack([u, v]).tobytes()
+        inside = rows >= 0
+        assert inside.any() and not inside.all()
+        floor = np.floor((pts[inside] - shift) / g.spacing)
+        fired.update(map(tuple, (floor - g.cells[rows[inside]]).tolist()))
+
+        # a 2-tuple, and a row of an array, which has shape (2,)
+        pts_in = pts[inside]
+        h = [mapping.eval_map(m, p) for p in map(tuple, pts_in.tolist())]
+        assert np.array(h).tobytes() == mapping.eval_map(m, pts_in).tobytes()
+        d, flag = zip(*(mapping.eval_derivative(m, p, with_flag=True) for p in pts_in))
+        d_arr, flag_arr = mapping.eval_derivative(m, pts_in, with_flag=True)
+        assert np.array(d).tobytes() == d_arr.tobytes()
+        assert list(flag) == flag_arr.tolist()
+
+        # eval_derivative raises from the same lookup; ten points check it
+        for k, (x, y) in enumerate(pts[~inside].tolist()):
+            for fn in (mapping.eval_map, mapping.eval_derivative)[: 2 if k < 10 else 1]:
+                want = _outside_message(lambda p: fn(m, p), np.array([[x, y]]))
+                assert _outside_message(lambda p: fn(m, p), (x, y)) == want
+    # the floor square, then the west, south and south-west fallbacks
+    assert fired == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+def _inverse_map_on_arrays(m, w):
+    """``verify.inverse_map`` as it stands, evaluating H and H' on (1, 2)
+    arrays, which take the vectorised path."""
+    grid = m.grid
+    start = m.node_index.nearest(w)
+    x, y = grid.nodes[start] * grid.spacing + grid.shift
+    z = complex(x, y)
+    resid = abs(m.values[start] - w)
+    hz = None
+    best_z, best_resid = z, resid
+    for _ in range(50):
+        if resid <= 1e-6:
+            return (z.real, z.imag)
+        deriv = complex(mapping.eval_derivative(m, np.array([[z.real, z.imag]]))[0])
+        if deriv == 0:
+            break
+        if hz is None:
+            hz = complex(mapping.eval_map(m, np.array([[z.real, z.imag]]))[0])
+        step = (hz - w) / deriv
+        scale = 1.0
+        moved = False
+        while scale >= 1.0 / 64.0:
+            cand = z - scale * step
+            try:
+                cand_h = complex(mapping.eval_map(m, np.array([[cand.real, cand.imag]]))[0])
+            except OutsideGrid:
+                scale /= 2.0
+                continue
+            cand_resid = abs(cand_h - w)
+            if cand_resid < resid:
+                z, hz, resid = cand, cand_h, cand_resid
+                moved = True
+                break
+            scale /= 2.0
+        if not moved:
+            break
+        if resid < best_resid:
+            best_z, best_resid = z, resid
+    if resid <= 1e-6:
+        return (z.real, z.imag)
+    return ("stalled", (best_z.real, best_z.imag), best_resid)
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_inverse_map_matches_array_path_reference(map_for, name):
+    for level in (4, 6):
+        for shift in (0.0, 2.0**-level / 16):
+            m = map_for(name, level, shift)
+            rng = np.random.default_rng(level)
+            ws = rng.uniform(-0.95, 0.95, (12, 2)) @ (1.0, 1j)
+            for w in ws.tolist():
+                try:
+                    got = verify.inverse_map(m, None, w)
+                except NewtonStalled as exc:
+                    got = ("stalled", exc.best, exc.residual)
+                # repr shows every bit of a float, and its type
+                assert repr(got) == repr(_inverse_map_on_arrays(m, w))

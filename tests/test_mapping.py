@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,22 @@ def test_eval_outside_raises(map_for):
         eval_map(m, (2.0, 2.0))
     with pytest.raises(OutsideGrid):
         eval_derivative(m, (2.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300, -1e300, 1.7e308])
+def test_eval_non_finite_or_huge_point_raises_outside_grid(map_for, bad):
+    # casting such a value to an integer warns, and math.floor raises
+    # ValueError or OverflowError on it: neither may reach the caller
+    m = map_for("disc", 4)
+    points = [(bad, 0.1), (0.1, bad), np.array([bad, bad]), np.array([[0.0, 0.0], [bad, 0.1]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in points:
+            for fn in (eval_map, eval_derivative):
+                with pytest.raises(OutsideGrid, match="outside the covered region"):
+                    fn(m, p)
+        assert m.grid.locate_point(bad, 0.0)[0] == -1
+        assert m.grid.locate(np.array([[bad, 0.0], [0.0, bad]]))[0].tolist() == [-1, -1]
 
 
 def test_eval_vectorized_matches_scalar(map_for):
