@@ -5,10 +5,10 @@ vertices may arrive in either order and are stored counterclockwise.
 ``build_grid`` collects every closed axis-aligned square of side 2**-N
 (optionally shifted by a small lambda along both axes) that fits inside
 the domain, in time that grows with the lattice plus the polygon's
-edges, not with their product: an even-odd scanline fill classifies
-every corner and edge-midpoint lattice point from each row's edge
-crossings, and each polygon edge is then tested only against the squares
-in its overlap window, those whose boxes meet the edge's bounding box.
+edges, not with their product: an even-odd scanline fill gives every
+corner lattice point its parity from each row's edge crossings, and each
+polygon edge then clears every square it may touch among those in its
+overlap window, the squares whose boxes meet the edge's bounding box.
 The squares, their corner nodes, the arms between nodes and the oriented
 rim edges of the covered region are the combinatorial data the rest of
 the package computes on; ``spanning_fill`` integrates increments over
@@ -332,81 +332,51 @@ def _spans(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _inside_lattice(domain: Domain, xq: np.ndarray, yq: np.ndarray) -> np.ndarray:
-    """``_inside_many`` at every point (xq[i], yq[j]), as a (len(xq),
+    """Even-odd parity at every point (xq[i], yq[j]), as a (len(xq),
     len(yq)) mask; xq and yq are ascending lattice coordinates.
 
-    A polygon is filled by even-odd scanlines.  Each edge lists the rows
-    it crosses under ``_inside_many``'s half-open rule, with the same float
-    crossing ``xint``; a point's parity counts the crossings right of it
-    in its row.  A point exactly on an edge is not interior, and there the
-    exact cross == 0 and bounding-box test of ``_inside_many`` is run only
-    on the columns next to each row's crossing and along horizontal edges.
-    That is exact: any other point of a row lies at least a lattice step h
-    from the edge's line along the row, so the true cross product is at
-    least h * |dy|, while its rounding error is about 1e-16 * |dy| times
-    the edge's length, which ``_CANDIDATE_CAP`` keeps below 1e8 * h.
+    A disc is tested as in ``_inside_many``.  A polygon is filled by
+    scanlines: each edge lists the rows it crosses under ``_inside_many``'s
+    half-open rule, with the same float crossing ``xint``, and a point's
+    parity counts the crossings right of it in its row.  Off the edges
+    this is ``_inside_many``; a point exactly on an edge may read inside,
+    and ``_contained_cells`` leaves such points to the edge clearance.
     """
     if domain.kind == "disc":
         cx, cy = domain.center
         return (xq[:, None] - cx) ** 2 + (yq[None, :] - cy) ** 2 < domain.radius**2
     ax, ay, bx, by = _edge_ends(domain.vertices)
-    ylo = np.minimum(ay, by)
-    yhi = np.maximum(ay, by)
     nx, ny = len(xq), len(yq)
-    # rows inside each edge's closed y-range; only these can hold points
-    # on the edge
-    e, r = _spans(np.searchsorted(yq, ylo, "left"), np.searchsorted(yq, yhi, "right"))
-    flat = ay[e] == by[e]
-    # a horizontal edge has cross == 0 at every point of its row
-    fe, fr = e[flat], r[flat]
-    run = np.zeros((ny, nx + 1), dtype=np.int64)
-    np.add.at(run, (fr, np.searchsorted(xq, np.minimum(ax, bx)[fe], "left")), 1)
-    np.add.at(run, (fr, np.searchsorted(xq, np.maximum(ax, bx)[fe], "right")), -1)
-    on_edge = np.cumsum(run, axis=1)[:, :nx] > 0
-
-    e, r = e[~flat], r[~flat]
+    # (ay > y) != (by > y) exactly when min(ay, by) <= y < max(ay, by), so
+    # a horizontal edge crosses no row
+    e, r = _spans(
+        np.searchsorted(yq, np.minimum(ay, by), "left"),
+        np.searchsorted(yq, np.maximum(ay, by), "left"),
+    )
     py = yq[r]
     xint = ax[e] + (py - ay[e]) * (bx[e] - ax[e]) / (by[e] - ay[e])
-    # (ay > py) != (by > py) exactly when ylo <= py < yhi
-    crossing = py < yhi[e]
-    k = np.searchsorted(xq, xint[crossing], "left")  # columns c < k have px < xint
-    count = np.bincount(r[crossing] * (nx + 1) + k, minlength=ny * (nx + 1))
-    count = count.reshape(ny, nx + 1)
-    inside = (np.cumsum(count[:, :0:-1], axis=1)[:, ::-1] & 1).astype(bool)
-
-    # the two columns each side of every other edge's crossing
-    near = np.searchsorted(xq, xint)[:, None] + np.arange(-2, 2)
-    c = np.clip(near, 0, nx - 1).ravel()
-    e = np.repeat(e, near.shape[1])
-    r = np.repeat(r, near.shape[1])
-    px, py = xq[c], yq[r]
-    a_x, a_y, b_x, b_y = ax[e], ay[e], bx[e], by[e]
-    cross = (b_x - a_x) * (py - a_y) - (b_y - a_y) * (px - a_x)
-    hit = (
-        (cross == 0.0)
-        & (px >= np.minimum(a_x, b_x))
-        & (px <= np.maximum(a_x, b_x))
-        & (py >= np.minimum(a_y, b_y))
-        & (py <= np.maximum(a_y, b_y))
-    )
-    on_edge[r[hit], c[hit]] = True
-    return (inside & ~on_edge).T
+    k = np.searchsorted(xq, xint, "left")  # columns c < k have px < xint
+    count = np.bincount(r * (nx + 1) + k, minlength=ny * (nx + 1)).reshape(ny, nx + 1)
+    return (np.cumsum(count[:, :0:-1], axis=1)[:, ::-1] & 1).astype(bool).T
 
 
 def _clear_squares_on_edges(
-    ok: np.ndarray, verts: Sequence[Point], x0: np.ndarray, y0: np.ndarray, h: float
+    ok: np.ndarray, verts: Sequence[Point], xs: np.ndarray, ys: np.ndarray
 ) -> None:
     """Clear ``ok`` at every square that a polygon edge may touch.
 
-    Square [i, j] is the closed box [x0[i], x0[i] + h] x [y0[j], y0[j] + h].
+    Square [i, j] is the closed box [xs[i], xs[i + 1]] x [ys[j], ys[j + 1]],
+    so its corners are the node points themselves: at a shift that is not
+    dyadic, xs[i] + h can miss xs[i + 1] by an ulp, and an edge passing
+    between the two would go unseen.
     Only squares whose box meets an edge's bounding box are candidates for
     that edge; a candidate is blocked unless its four corners lie strictly
     on one side of the edge's line.  Edges are taken in groups of about
     ``_BLOCK`` (edge, square) pairs.
     """
     ax, ay, bx, by = _edge_ends(verts)
-    x1 = x0 + h
-    y1 = y0 + h
+    x0, x1 = xs[:-1], xs[1:]
+    y0, y1 = ys[:-1], ys[1:]
     ilo = np.searchsorted(x1, np.minimum(ax, bx), "left")
     ihi = np.searchsorted(x0, np.maximum(ax, bx), "right")
     jlo = np.searchsorted(y1, np.minimum(ay, by), "left")
@@ -437,7 +407,13 @@ def _contained_cells(
     """Boolean mask of lattice squares whose closed square fits inside.
 
     Entry [i1, i2] covers the square with lower corner at
-    ((n1lo + i1) * h + shift, (n2lo + i2) * h + shift).
+    ((n1lo + i1) * h + shift, (n2lo + i2) * h + shift).  A closed square
+    lies inside the open domain when its four corners are inside and no
+    polygon edge meets it; a disc is convex, so there the corners suffice.
+    The corners take their parity from one ``_inside_lattice`` fill, and
+    ``_clear_squares_on_edges`` clears every square an edge may touch.  A
+    corner exactly on an edge may read inside, but its cross product with
+    that edge is 0, so the clearance clears every square at that corner.
     """
     h = 2.0**-level
     xmin, xmax, ymin, ymax = domain.bounding_box()
@@ -453,27 +429,12 @@ def _contained_cells(
             "squares; refusing"
         )
 
-    xs = (np.arange(n1lo, n1hi + 2) * h + shift)  # node lattice, one past hi
-    ys = (np.arange(n2lo, n2hi + 2) * h + shift)
-    xm = xs[:-1] + 0.5 * h  # midpoints along x
-    ym = ys[:-1] + 0.5 * h
-
+    xs = np.arange(n1lo, n1hi + 2) * h + shift  # node lattice, one past hi
+    ys = np.arange(n2lo, n2hi + 2) * h + shift
     corner = _inside_lattice(domain, xs, ys)  # (nx+1, ny+1)
-    mid_x = _inside_lattice(domain, xm, ys)  # bottom/top edge midpoints
-    mid_y = _inside_lattice(domain, xs, ym)  # left/right edge midpoints
-
-    ok = (
-        corner[:-1, :-1]
-        & corner[1:, :-1]
-        & corner[:-1, 1:]
-        & corner[1:, 1:]
-        & mid_x[:, :-1]
-        & mid_x[:, 1:]
-        & mid_y[:-1, :]
-        & mid_y[1:, :]
-    )
+    ok = corner[:-1, :-1] & corner[1:, :-1] & corner[:-1, 1:] & corner[1:, 1:]
     if domain.kind == "polygon":
-        _clear_squares_on_edges(ok, domain.vertices, xs[:-1], ys[:-1], h)
+        _clear_squares_on_edges(ok, domain.vertices, xs, ys)
     return ok, n1lo, n2lo
 
 
@@ -581,11 +542,16 @@ class DyadicGrid:
 
         A point is interior exactly when every lattice square containing
         it is a cell of the grid (1, 2 or 4 squares depending on whether
-        the point sits inside a square, on an edge or on a node).
+        the point sits inside a square, on an edge or on a node).  False
+        for a point that is not finite.
         """
         h = self.spacing
         t1 = (point[0] - self.shift) / h
         t2 = (point[1] - self.shift) / h
+        (w1, w2), lo1, lo2 = self._cell_row.shape, self._n1lo, self._n2lo
+        # no cell lies beyond the window; the test is False for nan as well
+        if not (lo1 <= t1 <= lo1 + w1 and lo2 <= t2 <= lo2 + w2):
+            return False
         i1 = math.floor(t1)
         i2 = math.floor(t2)
         xs = [i1 - 1, i1] if t1 == i1 else [i1]
@@ -673,19 +639,17 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
     """Collect the closed squares of side 2**-level contained in the domain.
 
     ``shift`` slides the whole lattice by (shift, shift); it must satisfy
-    0 <= shift < 2**-level.  Containment is decided by strict interiority
-    of the four corners and four edge midpoints plus, for polygons, the
-    absence of any polygon edge meeting the closed square.
+    0 <= shift < 2**-level.  A square is contained when its four corners
+    are interior and, for polygons, no polygon edge meets the closed square.
 
-    Interiority of polygon points comes from a scanline fill: each lattice
-    row's edge crossings are computed once and a point's parity counts the
-    crossings to its right.  A point exactly on an edge is not interior;
-    the exact cross == 0 test runs next to each crossing and along
-    horizontal edges, and that covers every such point because anywhere
-    else the cross product exceeds its rounding error by a factor of about
-    h / (1e-16 * edge length).  Each polygon edge is then tested only
-    against the squares whose closed boxes meet its bounding box.  The
-    result equals the point-by-point, edge-by-edge test bit for bit.
+    The corners of polygon squares take their parity from a scanline fill:
+    each lattice row's edge crossings are computed once and a point's
+    parity counts the crossings to its right.  Each polygon edge is then
+    tested only against the squares whose closed boxes meet its bounding
+    box, and clears every square whose corners do not all lie strictly on
+    one side of its line.  That clears each square with a corner on an
+    edge, where the parity may read inside; off the edges the parity is
+    that of ``contains``.
 
     The tables follow from the four cells around each lattice point
     (``_corner_cells``), under the corner-cell rule of ``DyadicGrid``.

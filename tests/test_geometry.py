@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -295,6 +296,8 @@ def test_locate_and_covers_point():
     h = g.spacing
     assert g.covers_point_interior((0.0, 0.0))
     assert not g.covers_point_interior((2.0, 0.0))
+    for far in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (1e308, 0.0), (0.0, -1e308)):
+        assert g.covers_point_interior(far) is False
     rows, u, v = g.locate(np.array([[h / 3, h / 3], [2.0, 0.0]]))
     assert rows[0] == g.cell_rows([(0, 0)])[0]
     assert rows[1] == -1
@@ -378,13 +381,14 @@ def _inside_reference(domain, xv, yv):
     return _inside_many(domain, pts).reshape(len(xv), len(yv))
 
 
-def _clear_squares_reference(ok, domain, xs, ys, h):
-    """Every polygon edge tested against the whole window of squares."""
+def _clear_squares_reference(ok, domain, xs, ys):
+    """Every polygon edge tested against the whole window of squares, whose
+    corners are the node points xs, ys."""
     nx, ny = ok.shape
     x0 = xs[:-1][:, None] + np.zeros((1, ny))
     y0 = ys[:-1][None, :] + np.zeros((nx, 1))
-    x1 = x0 + h
-    y1 = y0 + h
+    x1 = xs[1:][:, None] + np.zeros((1, ny))
+    y1 = ys[1:][None, :] + np.zeros((nx, 1))
     verts = domain.vertices
     m = len(verts)
     for i in range(m):
@@ -418,6 +422,7 @@ def _star(seed, n):
 
 
 STARS = {"star96": (0, 96), "star240": (1, 240), "star384": (2, 384)}
+STARS.update({f"star32_{seed}": (seed, 32) for seed in (3, 4, 5)})
 LATTICE_DOMAINS = {
     # edges on lattice lines, and a diagonal through lattice nodes
     "ell": {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]},
@@ -436,11 +441,28 @@ LATTICE_DOMAINS = {
 }
 
 
+def _on_edge(domain, xv, yv):
+    """Lattice points lying on a polygon edge, edge by edge: exact
+    cross == 0 at every lattice point in the edge's bounding box."""
+    out = np.zeros((len(xv), len(yv)), dtype=bool)
+    if domain.kind == "disc":
+        return out
+    verts = domain.vertices
+    for (px_, py_), (qx_, qy_) in zip(verts, verts[1:] + verts[:1]):
+        i = slice(np.searchsorted(xv, min(px_, qx_)), np.searchsorted(xv, max(px_, qx_), "right"))
+        j = slice(np.searchsorted(yv, min(py_, qy_)), np.searchsorted(yv, max(py_, qy_), "right"))
+        cross = (qx_ - px_) * (yv[None, j] - py_) - (qy_ - py_) * (xv[i, None] - px_)
+        out[i, j] |= cross == 0.0
+    return out
+
+
 @pytest.mark.parametrize(
     "name, level, sixteenths",
     [("star96", 7, 0), ("star96", 7, 1), ("star240", 6, 0), ("star384", 6, 1)]
     + [(name, 5, 0) for name in LATTICE_DOMAINS]
-    + [("triangle", 6, 0), ("triangle", 6, 1)],
+    + [("triangle", 6, 0), ("triangle", 6, 1)]
+    # seeded stars at shifts 0, h/16 and h/3
+    + [(f"star32_{seed}", level, k) for seed in (3, 4, 5) for level in (5, 6) for k in (0, 1, 16 / 3)],
 )
 def test_scanline_containment_matches_reference(monkeypatch, name, level, sixteenths):
     if name in STARS:
@@ -457,9 +479,17 @@ def test_scanline_containment_matches_reference(monkeypatch, name, level, sixtee
     masks = []
     for xv, yv in ((xs, ys), (xm, ys), (xs, ym)):
         expected = _inside_reference(domain, xv, yv)
-        assert np.array_equal(_inside_lattice(domain, xv, yv), expected)
+        # the fill is _inside_many's parity at every point on no edge
+        off = ~_on_edge(domain, xv, yv)
+        assert np.array_equal(_inside_lattice(domain, xv, yv)[off], expected[off])
         masks.append(expected)
     corner, mid_x, mid_y = masks
+    # a corner on an edge may read inside, and the edge clearance still
+    # rejects every square at it
+    on = _on_edge(domain, xs, ys)
+    assert not ok[on[:-1, :-1] | on[1:, :-1] | on[:-1, 1:] | on[1:, 1:]].any()
+    if name in LATTICE_DOMAINS and domain.kind == "polygon" and sixteenths == 0:
+        assert (_inside_lattice(domain, xs, ys) & on).any()
     if name == "triangle" and sixteenths == 0:
         on_diagonal = xs[:, None] + ys[None, :] == 0.0
         assert on_diagonal[1:-1, 1:-1].any() and not corner[on_diagonal].any()
@@ -468,7 +498,7 @@ def test_scanline_containment_matches_reference(monkeypatch, name, level, sixtee
         & mid_x[:, :-1] & mid_x[:, 1:] & mid_y[:-1, :] & mid_y[1:, :]
     )
     if domain.kind == "polygon":
-        _clear_squares_reference(ref, domain, xs, ys, h)
+        _clear_squares_reference(ref, domain, xs, ys)
     assert np.array_equal(ok, ref)
 
     grid = build_grid(domain, level, shift)
@@ -476,6 +506,24 @@ def test_scanline_containment_matches_reference(monkeypatch, name, level, sixtee
     expected = build_grid(domain, level, shift)
     for field in ("cells", "nodes", "interior", "neighbors", "cell_corners"):
         assert np.array_equal(getattr(grid, field), getattr(expected, field)), field
+
+
+def test_clearance_tests_the_square_at_its_node_points():
+    # at level 2 and shift h/3, y0 + h falls one ulp below the node
+    # coordinate y1 of square (-10, 1); the kite's edge passes between the
+    # two, so the square's north-west node lies outside the open kite
+    h = 0.25
+    s = h / 3
+    x, y = -4 * h + s, s
+    kite = load_domain(
+        {"type": "polygon", "vertices": [[x - 4 * h, y - 4 * h], [x, y], [x - 4 * h, y + 4 * h], [x - 8 * h, y]]}
+    )
+    x0, y0, y1 = -10 * h + s, h + s, 2 * h + s
+    assert y0 + h != y1
+    (ax, ay), (bx, by) = kite.vertices[2], kite.vertices[3]
+    ax, ay, bx, by, x0, y1 = map(Fraction, (ax, ay, bx, by, x0, y1))
+    assert (bx - ax) * (y1 - ay) - (by - ay) * (x0 - ax) < 0
+    assert build_grid(kite, 2, s).cell_rows([(-10, 1)]).tolist() == [-1]
 
 
 ELL = {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}
