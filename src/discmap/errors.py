@@ -60,9 +60,11 @@ class IndeterminateWinding(DiscmapError):
 
 
 class NewtonStalled(DiscmapError):
-    """Newton inversion did not reach its residual target.
+    """Inversion found no preimage of w to its residual target on the
+    cells at its start node, the node whose value lies nearest w.  The
+    name is that of the Newton solver the exact cell solve replaced.
 
-    Carries the best iterate found so far in ``best`` and its residual in
+    Carries the start node's point in ``best`` and its |H - w| in
     ``residual``.
     """
 

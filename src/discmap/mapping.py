@@ -11,9 +11,10 @@ origin, which makes H'(0) = exp(g(0)) real and positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ Point = Tuple[float, float]
 RIM_SAMPLES = 8
 INDEX_CHUNK = 64  # most nodes per chunk of the nearest-node index
 MAP_TABLE = ("x,y,g,gconj,reH,imH", 4)  # (header, value columns) of map.csv
+ROOT_SLACK = 1e-12  # how far outside [0, 1] a cell coordinate may round
 
 
 def _cell_gradients(grid: DyadicGrid, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -275,7 +277,7 @@ def assemble_map(
     The conjugate's additive constant is re-fixed so its interpolated
     value at the origin is zero; H'(0) = exp(g(0)) is then real positive.
     """
-    conj_values = conj.values - _bilinear_point(grid, 0.0, 0.0, conj.values)[1]
+    conj_values = conj.values - _bilinear_point(grid, 0.0, 0.0, conj.values)
     factor = np.exp(pot.values + 1j * conj_values)
     pts = grid.node_points()
     z = pts[:, 0] + 1j * pts[:, 1]
@@ -330,30 +332,62 @@ def _bilinear(grid: DyadicGrid, points: np.ndarray, *fields: np.ndarray):
     )
 
 
-def _bilinear_point(grid: DyadicGrid, x: float, y: float, *fields: np.ndarray):
-    """``_bilinear`` at the one point (x, y), in Python scalars: the four
-    corner rows as a list, then one value per field, with the bits the
-    array form gives."""
+def _bilinear_point(grid: DyadicGrid, x: float, y: float, f: np.ndarray):
+    """``_bilinear`` of the one field f at the one point (x, y), in Python
+    scalars, with the bits the array form gives."""
     row, u, v = grid.locate_point(x, y)
     if row < 0:
         raise OutsideGrid(f"point ({x}, {y}) is outside the covered region")
     c = grid.cell_corners[row].tolist()
     w = ((1.0 - u) * (1.0 - v), u * (1.0 - v), (1.0 - u) * v, u * v)
-    return c, *(
-        w[0] * f.item(c[0]) + w[1] * f.item(c[1]) + w[2] * f.item(c[2]) + w[3] * f.item(c[3])
-        for f in fields
-    )
+    return w[0] * f.item(c[0]) + w[1] * f.item(c[1]) + w[2] * f.item(c[2]) + w[3] * f.item(c[3])
 
 
-def _as_points(z) -> Tuple[Union[List[float], np.ndarray], bool]:
-    """A point (x, y) as a list of two floats, or (M, 2) points as an
-    array, and whether it was the single point."""
+def _preimages_at_node(
+    grid: DyadicGrid, values: np.ndarray, node: int, w: complex
+) -> Iterator[Point]:
+    """Points (x, y), in Python floats, of the cells at node row ``node``
+    where the bilinear interpolant of ``values`` is w.
+
+    On a cell F = H_SW + u e + v f + u v g, so F = w makes d - u e, with
+    d = w - H_SW, the real multiple v of f + u g.  Their cross product
+    vanishes: a quadratic in u, solved without cancellation, and v is the
+    ratio of the two.  A u or v within ROOT_SLACK of [0, 1] is clamped
+    into it; a degenerate cell yields nothing.
+    """
+    n1, n2 = grid.nodes[node].tolist()
+    pairs = [(n1 - 1, n2 - 1), (n1, n2 - 1), (n1 - 1, n2), (n1, n2)]
+    for (c1, c2), row in zip(pairs, grid.cell_rows(pairs).tolist()):
+        if row < 0:
+            continue
+        h0, h1, h2, h3 = map(values.item, grid.cell_corners[row].tolist())
+        e, f, g, d = h1 - h0, h2 - h0, h3 - h2 - h1 + h0, w - h0
+        a = (g.conjugate() * e).imag  # cross products, Im(conj(p) q)
+        b = (d.conjugate() * g - e.conjugate() * f).imag
+        c = (d.conjugate() * f).imag
+        roots = [-c / b] if a == 0.0 and b != 0.0 else []
+        disc = b * b - 4.0 * a * c
+        if a != 0.0 and disc >= 0.0:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = [q / a, c / q] if q != 0.0 else [0.0]  # q = 0 only when b = c = 0
+        for u in roots:
+            if not -ROOT_SLACK <= u <= 1.0 + ROOT_SLACK:
+                continue
+            u = min(max(u, 0.0), 1.0)
+            t = f + u * g
+            v = ((d - u * e) / t).real if t else math.nan
+            if -ROOT_SLACK <= v <= 1.0 + ROOT_SLACK:
+                v = min(max(v, 0.0), 1.0)
+                yield (c1 + u) * grid.spacing + grid.shift, (c2 + v) * grid.spacing + grid.shift
+
+
+def _as_points(z) -> Tuple[np.ndarray, bool]:
+    """A point (x, y) or (M, 2) points as an (M, 2) array, and whether it
+    was the single point."""
     arr = np.asarray(z, dtype=float)
-    if arr.shape == (2,):
-        return arr.tolist(), True
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return arr, False
-    raise ValueError("expected a point (x, y) or an (M, 2) array of points")
+    if arr.shape != (2,) and not (arr.ndim == 2 and arr.shape[1] == 2):
+        raise ValueError("expected a point (x, y) or an (M, 2) array of points")
+    return arr.reshape(-1, 2), arr.shape == (2,)
 
 
 def eval_map(m: ConformalMap, z):
@@ -364,31 +398,25 @@ def eval_map(m: ConformalMap, z):
     (``DyadicGrid.locate``); both give the same bits."""
     pts, single = _as_points(z)
     if single:
-        return _bilinear_point(m.grid, *pts, m.values)[1]
+        return _bilinear_point(m.grid, *pts[0].tolist(), m.values)
     return _bilinear(m.grid, pts, m.values)[1]
 
 
 def eval_derivative(m: ConformalMap, z, with_flag: bool = False):
-    """H' at a point (or points): h * (1 + z * (g_x - i g_y)) with the
-    fields bilinear-interpolated.  With ``with_flag`` the result pairs
-    with a bool (per point) marking reliance on one-sided rim stencils.
-    One point takes the scalar path, an array the vectorised one, as in
-    ``eval_map``, with the same bits."""
+    """H' at a point (or (M, 2) array of points): h * (1 + z * (g_x - i g_y))
+    with the fields bilinear-interpolated.  With ``with_flag`` the result
+    pairs with a bool (per point) marking reliance on one-sided rim
+    stencils.  A single point runs as a (1, 2) array and comes back as a
+    Python complex and bool."""
     pts, single = _as_points(z)
     fields = (m.potential.values, m.conjugate.values, m.slope_x, m.slope_y)
-    if single:
-        x, y = pts
-        c, g, conj, sx, sy = _bilinear_point(m.grid, x, y, *fields)
-        # numpy's array loop may fuse a complex product's multiply-adds,
-        # so Python's product can differ in the last bit: the last two
-        # products run on one-element arrays
-        zc = np.array([x + 1j * y])
-        deriv = (np.exp(np.array([g + 1j * conj])) * (1.0 + zc * (sx - 1j * sy))).item()
-        return (deriv, bool(m.one_sided[c].any())) if with_flag else deriv
     c, g, conj, sx, sy = _bilinear(m.grid, pts, *fields)
     zc = pts[:, 0] + 1j * pts[:, 1]
     deriv = np.exp(g + 1j * conj) * (1.0 + zc * (sx - 1j * sy))
-    return (deriv, m.one_sided[c].any(axis=1)) if with_flag else deriv
+    flag = m.one_sided[c].any(axis=1)
+    if single:
+        deriv, flag = complex(deriv[0]), bool(flag[0])
+    return (deriv, flag) if with_flag else deriv
 
 
 def node_tables(m: ConformalMap, *tables: Tuple[str, int]) -> Iterator[Tuple[str, ...]]:

@@ -29,8 +29,10 @@ from .errors import (
 # unused here, but bench/tracing.py wraps discmap.verify.boundary_edges
 from .geometry import DyadicGrid, boundary_edges
 from .mapping import (
-    ConformalMap, ModulusReport, _cell_gradients, build_map, eval_derivative, eval_map
+    ConformalMap, ModulusReport, _cell_gradients, _preimages_at_node, build_map, eval_map
 )
+# unused here, but bench/tracing.py wraps discmap.verify.eval_derivative
+from .mapping import eval_derivative
 
 Point = Tuple[float, float]
 
@@ -223,60 +225,30 @@ def conformality_residual(m: ConformalMap, grid: Optional[DyadicGrid] = None) ->
 
 
 def inverse_map(m: ConformalMap, grid: Optional[DyadicGrid], w: complex) -> Point:
-    """Preimage of w by damped Newton iteration on the interpolated map.
-
-    Starts from the node whose sample lies nearest w, the lowest row on a
-    tie; the map's nearest-node index (``ConformalMap.node_index``, built
-    on the first inversion) finds the same node a scan of every node
-    would.  Each step is damped until the residual decreases and the
-    iterate stays inside the covered region, and the accepted candidate's
-    H value serves the next step.  Succeeds at |H(z) - w| <= 1e-6 within
-    50 steps, else raises NewtonStalled carrying the best iterate.  A w
-    that is not finite raises ValueError.
+    """Preimage of w under the interpolated map, solved exactly on the
+    cells at the node whose sample lies nearest w (the lowest row on a
+    tie; ``ConformalMap.node_index``, built on the first inversion, finds
+    it).  H is bilinear on each cell, so H(z) = w has a closed form there
+    (``mapping._preimages_at_node``); the first z with |H(z) - w| <= 1e-6
+    is returned.  When no cell at the node holds one, NewtonStalled
+    carries the node's point and its |H - w|.  A w that is not finite
+    raises ValueError.
     """
     grid = _own_grid(m, grid)
     w = _finite(w)
     start = m.node_index.nearest(w)
-    x, y = grid.nodes[start] * grid.spacing + grid.shift
-    z = complex(x, y)
-    resid = abs(m.values[start] - w)
-    hz = None  # H at z, once evaluated
-    best_z, best_resid = z, resid
-    for _ in range(50):
-        if resid <= 1e-6:
-            return (z.real, z.imag)
-        deriv = eval_derivative(m, (z.real, z.imag))
-        if deriv == 0:
-            break
-        if hz is None:
-            hz = eval_map(m, (z.real, z.imag))
-        step = (hz - w) / deriv
-        scale = 1.0
-        moved = False
-        while scale >= 1.0 / 64.0:
-            cand = z - scale * step
-            try:
-                cand_h = eval_map(m, (cand.real, cand.imag))
-            except OutsideGrid:
-                scale /= 2.0
-                continue
-            cand_resid = abs(cand_h - w)
-            if cand_resid < resid:
-                z, hz, resid = cand, cand_h, cand_resid
-                moved = True
-                break
-            scale /= 2.0
-        if not moved:
-            break
-        if resid < best_resid:
-            best_z, best_resid = z, resid
-    if resid <= 1e-6:
-        return (z.real, z.imag)
+    for z in _preimages_at_node(grid, m.values, start, w):
+        try:
+            if abs(eval_map(m, z) - w) <= 1e-6:
+                return z
+        except OutsideGrid:  # a point within rounding of the rim
+            continue
+    resid = abs(m.values.item(start) - w)
     raise NewtonStalled(
-        f"no preimage of {w} to 1e-6 within 50 damped steps "
-        f"(best residual {best_resid:.3e})",
-        best=(best_z.real, best_z.imag),
-        residual=best_resid,
+        f"no cell at the node nearest {w} holds a preimage to 1e-6 "
+        f"(residual {resid:.3e} at that node)",
+        best=tuple((grid.nodes[start] * grid.spacing + grid.shift).tolist()),
+        residual=resid,
     )
 
 
@@ -313,7 +285,7 @@ def bijectivity_sweep(
     Per-probe errors are collected, not raised.  ``cache`` keeps the shift
     ladder's rebuilds as in ``count_preimages``; one dict may serve several
     maps.  As an onto-ness witness, eight deterministic probes on
-    |w| = radius are inverted by Newton iteration; their preimages (inside
+    |w| = radius are inverted by ``inverse_map``; their preimages (inside
     the covered region by construction) are reported alongside the sweep.
     """
     grid = _own_grid(m, grid)
@@ -323,12 +295,8 @@ def bijectivity_sweep(
     ws = rad * np.exp(1j * ang)
     results, failures = _count_all(m, ws, {} if cache is None else cache)
     good = sum(res.count == 1 for res in results)
-    onto: List[Point] = []
-    for k in range(8):
-        w = radius * complex(
-            math.cos(2.0 * math.pi * k / 8), math.sin(2.0 * math.pi * k / 8)
-        )
-        onto.append(inverse_map(m, grid, w))
+    angles = [2.0 * math.pi * k / 8 for k in range(8)]
+    onto = [inverse_map(m, grid, radius * complex(math.cos(a), math.sin(a))) for a in angles]
     return SweepSummary(
         radius=radius,
         probes=probes,

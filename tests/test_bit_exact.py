@@ -2,8 +2,7 @@
 here as references: the spanning fill and containment test (equal bits,
 equal closures), the node transport of the conjugate, and the V-cycle's
 prolongation and coarse operators.  The one-point evaluators are checked
-the other way round, against the array path they stand beside, and
-Newton inversion against itself running on that array path."""
+the other way round, against the array path they stand beside."""
 
 from __future__ import annotations
 
@@ -13,9 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from discmap import barrier, contains, dirichlet, geometry, load_domain, mapping, normalize_origin, verify
+from discmap import barrier, contains, dirichlet, geometry, load_domain, mapping, normalize_origin
 from discmap.barrier import boundary_probes
-from discmap.errors import NewtonStalled, OutsideGrid
+from discmap.errors import OutsideGrid
 from discmap.geometry import _inside_many, spanning_fill
 
 from conftest import DOMAIN_NAMES, DOMAIN_SPECS
@@ -321,8 +320,10 @@ def test_one_point_path_matches_array_path(map_for, name):
         pts_in = pts[inside]
         h = [mapping.eval_map(m, p) for p in map(tuple, pts_in.tolist())]
         assert np.array(h).tobytes() == mapping.eval_map(m, pts_in).tobytes()
-        d, flag = zip(*(mapping.eval_derivative(m, p, with_flag=True) for p in pts_in))
-        d_arr, flag_arr = mapping.eval_derivative(m, pts_in, with_flag=True)
+        # one point of eval_derivative runs as a (1, 2) array, so a
+        # sample of the points checks that
+        d, flag = zip(*(mapping.eval_derivative(m, p, with_flag=True) for p in pts_in[::13]))
+        d_arr, flag_arr = mapping.eval_derivative(m, pts_in[::13], with_flag=True)
         assert np.array(d).tobytes() == d_arr.tobytes()
         assert list(flag) == flag_arr.tolist()
 
@@ -333,62 +334,3 @@ def test_one_point_path_matches_array_path(map_for, name):
                 assert _outside_message(lambda p: fn(m, p), (x, y)) == want
     # the floor square, then the west, south and south-west fallbacks
     assert fired == {(0, 0), (1, 0), (0, 1), (1, 1)}
-
-
-def _inverse_map_on_arrays(m, w):
-    """``verify.inverse_map`` as it stands, evaluating H and H' on (1, 2)
-    arrays, which take the vectorised path."""
-    grid = m.grid
-    start = m.node_index.nearest(w)
-    x, y = grid.nodes[start] * grid.spacing + grid.shift
-    z = complex(x, y)
-    resid = abs(m.values[start] - w)
-    hz = None
-    best_z, best_resid = z, resid
-    for _ in range(50):
-        if resid <= 1e-6:
-            return (z.real, z.imag)
-        deriv = complex(mapping.eval_derivative(m, np.array([[z.real, z.imag]]))[0])
-        if deriv == 0:
-            break
-        if hz is None:
-            hz = complex(mapping.eval_map(m, np.array([[z.real, z.imag]]))[0])
-        step = (hz - w) / deriv
-        scale = 1.0
-        moved = False
-        while scale >= 1.0 / 64.0:
-            cand = z - scale * step
-            try:
-                cand_h = complex(mapping.eval_map(m, np.array([[cand.real, cand.imag]]))[0])
-            except OutsideGrid:
-                scale /= 2.0
-                continue
-            cand_resid = abs(cand_h - w)
-            if cand_resid < resid:
-                z, hz, resid = cand, cand_h, cand_resid
-                moved = True
-                break
-            scale /= 2.0
-        if not moved:
-            break
-        if resid < best_resid:
-            best_z, best_resid = z, resid
-    if resid <= 1e-6:
-        return (z.real, z.imag)
-    return ("stalled", (best_z.real, best_z.imag), best_resid)
-
-
-@pytest.mark.parametrize("name", DOMAIN_NAMES)
-def test_inverse_map_matches_array_path_reference(map_for, name):
-    for level in (4, 6):
-        for shift in (0.0, 2.0**-level / 16):
-            m = map_for(name, level, shift)
-            rng = np.random.default_rng(level)
-            ws = rng.uniform(-0.95, 0.95, (12, 2)) @ (1.0, 1j)
-            for w in ws.tolist():
-                try:
-                    got = verify.inverse_map(m, None, w)
-                except NewtonStalled as exc:
-                    got = ("stalled", exc.best, exc.residual)
-                # repr shows every bit of a float, and its type
-                assert repr(got) == repr(_inverse_map_on_arrays(m, w))

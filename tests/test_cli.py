@@ -17,6 +17,7 @@ SQUARE = (
     '{"type": "polygon", "vertices":'
     " [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}"
 )
+ELL = '{"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}'
 
 
 @pytest.fixture
@@ -117,6 +118,17 @@ def test_verify_writes_report(square_file, tmp_path):
         assert isinstance(p["attempts"], int)
         assert isinstance(p["hazard"], bool)
         assert p["shifted"] == (p["attempts"] > 0)
+
+
+@pytest.mark.parametrize("extra", [(), ("--level", "4", "--radius", "0.9")])
+def test_verify_inverts_its_witnesses_on_the_coarse_ell(tmp_path, extra):
+    # damped Newton stalled on a witness of each run and exited 4: at
+    # w = 0.7 on level 3 (residual 6.9e-6), and at w = 0.9 on level 4
+    ell = tmp_path / "ell.json"
+    ell.write_text(ELL)
+    out = tmp_path / "v"
+    assert _run("verify", "--domain", str(ell), "--level", "3", *extra, "--out", str(out)) == 0
+    assert json.loads((out / "verify.json").read_text())["sweep"]["K"] == 20
 
 
 def test_verify_rerun_byte_identical(square_file, tmp_path):

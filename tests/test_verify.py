@@ -25,9 +25,9 @@ from discmap import (
     inverse_map,
     verification_report,
 )
-from discmap import build_map, mapping
+from discmap import build_map, load_domain, mapping, normalize_origin
 from discmap.dirichlet import DEFAULT_TOL
-from discmap.mapping import NodeIndex, eval_derivative, eval_map
+from discmap.mapping import NodeIndex, eval_map
 from discmap.verify import max_node_derivative
 
 CLI_PROBES = (0j, 1.1 + 0j, -1.1 + 0j, 1.1j, -1.1j)
@@ -326,55 +326,104 @@ def test_node_index_resolves_ties_to_the_lowest_row(map_for):
         assert index.nearest(complex(w)) == np.argmin(np.abs(coarse - w))
 
 
-def _reference_inverse(m, w):
-    # inverse_map as it was before the node index: a scan of every node
-    # for the start and an eval_map at the top of every step
-    start = int(np.argmin(np.abs(m.values - w)))
-    x, y = m.grid.nodes[start] * m.grid.spacing + m.grid.shift
-    z = complex(x, y)
-    resid = abs(m.values[start] - w)
-    best_z, best_resid = z, resid
-    for _ in range(50):
-        if resid <= 1e-6:
-            return (z.real, z.imag)
-        deriv = eval_derivative(m, (z.real, z.imag))
-        if deriv == 0:
-            break
-        step = (eval_map(m, (z.real, z.imag)) - w) / deriv
-        scale = 1.0
-        moved = False
-        while scale >= 1.0 / 64.0:
-            cand = z - scale * step
-            try:
-                cand_resid = abs(eval_map(m, (cand.real, cand.imag)) - w)
-            except OutsideGrid:
-                scale /= 2.0
-                continue
-            if cand_resid < resid:
-                z, resid = cand, cand_resid
-                moved = True
-                break
-            scale /= 2.0
-        if not moved:
-            break
-        if resid < best_resid:
-            best_z, best_resid = z, resid
-    if resid <= 1e-6:
-        return (z.real, z.imag)
-    return ("stalled", (best_z.real, best_z.imag), best_resid)
+def _uniform_in_disc(rng, radius, count):
+    rad = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
+    return (rad * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))).tolist()
+
+
+def _cell_solutions(m, w):
+    """Every solution of H(z) = w over the whole map, by solving each
+    cell's quadratic at once: the cell rows, and u, v in [0, 1]."""
+    corner = m.values[m.grid.cell_corners]  # SW, SE, NW, NE
+    e, f = corner[:, 1] - corner[:, 0], corner[:, 2] - corner[:, 0]
+    g = corner[:, 3] - corner[:, 2] - corner[:, 1] + corner[:, 0]
+    d = w - corner[:, 0]
+    a, b, c = (np.conj(g) * e).imag, (np.conj(d) * g - np.conj(e) * f).imag, (np.conj(d) * f).imag
+    disc = b * b - 4.0 * a * c
+    quad, linear = (a != 0.0) & (disc >= 0.0), (a == 0.0) & (b != 0.0)
+    q = -0.5 * (b + np.copysign(np.sqrt(np.where(quad, disc, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = np.where(quad, q / a, np.where(linear, -c / b, np.nan))
+        second = np.where(quad & (q != 0.0), c / q, np.nan)
+        u = np.concatenate([first, second])
+        keep = (u >= 0.0) & (u <= 1.0)
+        rows, u = np.tile(np.arange(len(a)), 2)[keep], u[keep]
+        v = ((d[rows] - u * e[rows]) / (f[rows] + u * g[rows])).real
+    inside = (v >= 0.0) & (v <= 1.0)
+    return rows[inside], u[inside], v[inside]
 
 
 @pytest.mark.parametrize("name", DOMAIN_NAMES)
-def test_inverse_map_matches_the_scan_start_routine(map_for, name):
-    for level in (4, 5):
+def test_inverse_map_succeeds_exactly_when_a_cell_holds_w(map_for, name):
+    for level in (4, 6):
         for shift in (0.0, 2.0**-level / 16):
             m = map_for(name, level, shift)
-            for w in _index_probes(m, level)[:12] + [0j, 5.0 + 0j]:
+            for w in _uniform_in_disc(np.random.default_rng(level), 1.05, 100):
+                rows, u, v = _cell_solutions(m, w)
                 try:
-                    got = inverse_map(m, None, w)
-                except NewtonStalled as err:
-                    got = ("stalled", err.best, err.residual)
-                assert got == _reference_inverse(m, w)
+                    z = inverse_map(m, None, w)
+                except NewtonStalled:
+                    assert len(rows) == 0
+                    continue
+                assert len(rows) > 0
+                assert abs(eval_map(m, z) - w) <= 1e-12
+                # the point is one of the reference's solutions
+                ref = (m.grid.cells[rows] + np.column_stack([u, v])) * m.grid.spacing + shift
+                assert np.abs(ref - z).max(axis=1).min() <= 1e-9
+
+
+def test_inverse_map_on_the_coarse_ell(map_for):
+    # the witnesses of `discmap verify` at level 3, where damped Newton
+    # stalled at 0.7 with residual 6.9e-6
+    m = map_for("ell", 3)
+    for w in (0.7, 0.7j):
+        z = inverse_map(m, None, w)
+        assert abs(eval_map(m, z) - w) <= 1e-12
+        assert len(_cell_solutions(m, w)[0]) == 1
+
+
+def test_inverse_map_returns_no_point_outside_the_region(map_for):
+    # at a shift that is not dyadic some rim node points round outside
+    # every cell; a rim node value whose cell solutions all land on such
+    # a point stalls, where Newton returned the node point unevaluated
+    m = map_for("offset_disc", 4, 1.0 / 30)
+    stalled = 0
+    for node in np.flatnonzero(~m.grid.interior).tolist():
+        w = m.values.item(node)
+        try:
+            z = inverse_map(m, None, w)
+        except NewtonStalled:
+            stalled += 1
+            with pytest.raises(OutsideGrid):
+                eval_map(m, tuple(m.grid.node_points()[node]))
+            continue
+        assert abs(eval_map(m, z) - w) <= 1e-12
+    assert stalled > 0
+
+
+def _star_maps():
+    from bench.workloads import star_polygons  # the benchmark's generator
+
+    specs, _ = star_polygons(0, 32)
+    return [build_map(normalize_origin(load_domain(spec)), 5) for spec in specs[:3]]
+
+
+def test_cell_count_matches_winding_count(map_for):
+    # two independent preimage counts of the interpolated map: solutions
+    # of the cell quadratics, and the winding of the rim polygon
+    maps = [map_for(name, level) for name in DOMAIN_NAMES for level in (4, 5)] + _star_maps()
+    rng = np.random.default_rng(11)
+    counted = 0
+    for m in maps:
+        cache = {}
+        for w in _uniform_in_disc(rng, 1.1, 40):
+            try:
+                count = count_preimages(m, None, w, cache=cache).count
+            except TooCoarse:
+                continue
+            assert len(_cell_solutions(m, w)[0]) == count
+            counted += 1
+    assert counted > 0.8 * 40 * len(maps)
 
 
 def test_node_index_is_built_on_first_inversion(domains):
