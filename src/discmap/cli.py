@@ -5,9 +5,12 @@ JSON, builds the requested artifacts into the output directory, and
 reports a one-line summary per artifact on stdout.  Outputs carry no
 timestamps and derive any randomness from the seed flag, so a fixed
 configuration produces byte-identical files.  Artifacts are written to a
-temporary file first and renamed into place, never left half-written;
-``solve`` streams its two node tables and renames them only once both
-are complete.
+temporary file first and renamed into place, never left half-written.
+``solve`` streams its two node tables, split over the CPUs the process
+may run on: it formats the first range of node blocks itself, and helper
+interpreters that run ``tablerows.py`` without numpy format the others.
+It renames the tables and summary.json into place together, only once
+every range is complete.
 
 Exit codes: 0 success; 2 input or configuration error; 3 numerical
 failure (solver non-convergence, conjugate closure failure, branch
@@ -21,12 +24,16 @@ import argparse
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from . import geometry, tablerows
 from .barrier import boundary_probes, verify_barrier, weak_barrier
 # field_csv and map_csv stay bound here though solve streams its tables:
 # bench/tracing.py wraps both by name
@@ -48,7 +55,7 @@ from .errors import (
     TooCoarse,
 )
 from .geometry import build_grid, load_domain_file, normalize_origin
-from .mapping import MAP_TABLE, build_map, eval_derivative, map_csv, node_tables
+from .mapping import MAP_TABLE, build_map, eval_derivative, map_csv, node_table_input, node_tables
 from .render import render_grid_image
 from .verify import boundary_modulus_report, verification_report
 
@@ -68,6 +75,8 @@ _INPUT_ERRORS = (
 )
 _NUMERICAL_ERRORS = (NoConvergence, ClosureFailure, MonodromyDetected, OutsideGrid)
 _INDETERMINATE_ERRORS = (TooCoarse, IndeterminateWinding, NewtonStalled, ProbeTooClose)
+
+_COPY_CHARS = 1 << 16  # characters of a helper's table appended at a time
 
 
 @dataclass
@@ -99,10 +108,11 @@ class RunConfig:
 
 def _write_texts(paths: Sequence[str], chunks: Iterable[Sequence[str]]) -> None:
     """Stream text into several files at once: the i-th string of each item
-    of ``chunks`` is appended to ``paths[i]``.  Each file goes to a temporary
-    file beside it, and the temporary files are renamed into place only
-    once all of them are complete, so a failure while writing changes none
-    of the files and leaves no temporary file behind."""
+    of ``chunks`` is appended to ``paths[i]``, and an item may end early.
+    Each file goes to a temporary file beside it, and the temporary files
+    are renamed into place only once all of them are complete, so a failure
+    while writing changes none of the files and leaves no temporary file
+    behind."""
     tmps = []
     try:
         with ExitStack() as stack:
@@ -132,8 +142,12 @@ def _write_text(path: str, text: str) -> None:
     _write_texts([path], [[text]])
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_text(path, _json_text(obj))
 
 
 def _load_normalized(cfg: RunConfig):
@@ -169,18 +183,115 @@ def _cmd_solve(cfg: RunConfig) -> List[str]:
         },
         "derivative_at_origin": [deriv0.real, deriv0.imag],
     }
-    tables = _write_tables(m, cfg.out_dir)
-    _write_json(os.path.join(cfg.out_dir, "summary.json"), summary)
-    return [*tables, "summary.json"]
+    return _write_tables(m, cfg.out_dir, summary)
 
 
-def _write_tables(m, out: str) -> List[str]:
+def _write_tables(m, out: str, summary: Optional[dict] = None) -> List[str]:
     """Write field.csv and map.csv in one pass over the node blocks, which
-    formats each x, y and g once for both files; the two appear together."""
+    formats each x, y and g once for both files, split over the CPUs this
+    process may run on: the node blocks fall into one contiguous range per
+    CPU, at most one per block.  This process formats the first range,
+    after the headers; a ``_TableHelper`` formats each other range, and its
+    rows are appended in order.  The tables appear together, with
+    summary.json when ``summary`` is given, and only once every range is
+    complete."""
     names = ["field.csv", "map.csv"]
-    paths = [os.path.join(out, name) for name in names]
-    _write_texts(paths, node_tables(m, FIELD_TABLE, MAP_TABLE))
+    tables = (FIELD_TABLE, MAP_TABLE)
+    lead = []
+    if summary is not None:  # a third file, written whole in a first chunk
+        names.append("summary.json")
+        lead.append(("", "", _json_text(summary)))
+    directory = out or "."
+    os.makedirs(directory, exist_ok=True)
+    blocks = -(-m.grid.node_count // geometry._BLOCK)
+    parts = _table_parts(blocks)
+    cuts = [blocks * i // parts for i in range(parts + 1)]
+    widths = [k for _, k in tables]
+    with ExitStack() as stack:
+        helpers = [
+            _TableHelper(stack, directory, widths, node_table_input(m, range(a, b)))
+            for a, b in zip(cuts[1:], cuts[2:])
+        ]
+        first = islice(node_tables(m, *tables), 1 + cuts[1])
+        rest = (texts for helper in helpers for texts in helper.chunks())
+        _write_texts([os.path.join(out, name) for name in names], chain(lead, first, rest))
     return names
+
+
+def _table_parts(blocks: int) -> int:
+    """One part per CPU in this process's affinity mask, at most one per
+    block; one part where no helper interpreter can be started."""
+    if not (sys.executable and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), blocks)
+
+
+class _TableHelper:
+    """A helper interpreter, ``python -I -S tablerows.py``, that formats one
+    range of node blocks without importing numpy.  A thread streams it the
+    range's raw input, and it writes its rows to anonymous temporary files
+    beside the tables, so none is left behind whatever happens.  Closing
+    ``stack`` kills the helper if it still runs, then reaps it."""
+
+    def __init__(self, stack: ExitStack, directory: str, widths: List[int], data) -> None:
+        self.files = [
+            stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", dir=directory))
+            for _ in widths
+        ]
+        fds = [fh.fileno() for fh in self.files]
+        self.error: Optional[BaseException] = None
+        self.feeder = threading.Thread(target=self._feed, args=(data,), daemon=True)
+        self.proc = subprocess.Popen(
+            tablerows.command(widths, fds),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            pass_fds=fds,
+        )
+        stack.callback(self._stop)
+        self.feeder.start()
+
+    def _feed(self, data) -> None:
+        # one writev per block, so the thread waits for the GIL, which the
+        # formatting in this process holds, once a block, not once an array
+        try:
+            with self.proc.stdin as pipe:
+                for views in data:
+                    while views:
+                        done = os.writev(pipe.fileno(), views)
+                        while views and done >= len(views[0]):
+                            done -= len(views.pop(0))
+                        if views:
+                            views[0] = views[0][done:]
+        except BaseException as exc:  # raised by chunks(), after the helper's status
+            self.error = exc
+
+    def chunks(self) -> Iterator[Tuple[str, ...]]:
+        """Wait for the helper, then stream its tables as ``_write_texts``
+        chunks; a helper that exits non-zero raises OSError with its status
+        and stderr."""
+        self.feeder.join()
+        err = self.proc.stderr.read().decode(errors="replace").strip()
+        status = self.proc.wait()
+        if status != 0:
+            raise OSError(f"node table helper exited with status {status}: {err}") from self.error
+        if self.error is not None:
+            raise self.error
+        for fh in self.files:
+            fh.seek(0)
+        while True:
+            texts = tuple(fh.read(_COPY_CHARS) for fh in self.files)
+            if not any(texts):
+                return
+            yield texts
+
+    def _stop(self) -> None:
+        if self.proc.poll() is None:
+            self.proc.kill()
+        if self.feeder.ident is not None:
+            self.feeder.join()
+        self.proc.wait()
+        self.proc.stderr.close()
 
 
 def _cmd_verify(cfg: RunConfig) -> List[str]:

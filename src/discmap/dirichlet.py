@@ -23,6 +23,7 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 from . import geometry
 from .errors import NoConvergence, OriginOnBoundary
 from .geometry import DyadicGrid
+from .tablerows import format_block, helper_input, lattice_labels
 
 Node = Tuple[int, int]
 
@@ -399,45 +400,51 @@ def punctured_disc_profile(
 FIELD_TABLE = ("x,y,value", 1)  # (header, value columns) of field.csv
 
 
+def _lattice_lines(grid: DyadicGrid) -> List[Tuple[int, np.ndarray]]:
+    """Per axis, the lowest lattice index of the grid's nodes and the
+    coordinates of the lattice lines from there to the highest."""
+    lo, hi = grid.nodes.min(axis=0).tolist(), grid.nodes.max(axis=0).tolist()
+    return [(a, np.arange(a, b + 1) * grid.spacing + grid.shift) for a, b in zip(lo, hi)]
+
+
 def _node_tables(
     grid: DyadicGrid, columns: Sequence[np.ndarray], *tables: Tuple[str, int]
 ) -> Iterator[Tuple[str, ...]]:
     """Stream CSV node tables that share their leading columns, in one pass.
 
-    A table ``(header, k)`` has one row ``x,y`` plus the first k ``columns``
-    per node, in grid order, every float as its ``repr``.  Each step yields
-    one string per table: the header lines first, then the rows of
-    ``geometry._BLOCK`` nodes at a time.  Each float of a block is formatted
-    once however many tables hold it.  The coordinates of the lattice lines
-    between the grid's extreme nodes are formatted once in all; beside
-    them, memory holds the strings of one block at a time.
+    ``columns`` are (V, w) float arrays, w value columns each.  A table
+    ``(header, k)`` has one row ``x,y`` plus the first k value columns per
+    node, in grid order, every float as its ``repr``.  Each step yields one
+    string per table: the header lines first, then the rows of
+    ``geometry._BLOCK`` nodes at a time, as ``tablerows.format_block``
+    formats them, once per float however many tables hold it.  The
+    lattice-line coordinates are formatted once in all; beside them,
+    memory holds the strings of one block at a time.
+    ``_node_table_input`` hands any range of these blocks to a helper
+    interpreter that formats them the same way.
     """
-    lo, hi = grid.nodes.min(axis=0), grid.nodes.max(axis=0)
-    lines = (np.arange(a, b + 1) * grid.spacing + grid.shift for a, b in zip(lo, hi))
-    xs, ys = (np.array(list(map(repr, v.tolist())), dtype=object) for v in lines)
+    (x0, xline), (y0, yline) = _lattice_lines(grid)
+    xs, ys = lattice_labels(x0, xline.tolist()), lattice_labels(y0, yline.tolist())
+    widths = [k for _, k in tables]
     yield tuple(header + "\n" for header, _ in tables)
     for start in range(0, grid.node_count, geometry._BLOCK):
         b = slice(start, start + geometry._BLOCK)
-        n1, n2 = (grid.nodes[b] - lo).T
-        fields = [xs[n1].tolist(), ys[n2].tolist()]
-        fields += (list(map(repr, c[b].tolist())) for c in columns)
-        yield tuple(_csv_rows(fields[: 2 + k]) for _, k in tables)
-        del fields  # free this block's strings before the next block is formatted
+        nodes = memoryview(grid.nodes[b].reshape(-1))
+        values = ((memoryview(c[b].reshape(-1)), c.shape[1]) for c in columns)
+        yield format_block(xs, ys, nodes, values, widths)
 
 
-def _csv_rows(fields: List[List[str]]) -> str:
-    """CSV lines whose row i is ``fields[0][i],fields[1][i],...``, assembled
-    by one join over an interleaved list of fields and separators."""
-    width, rows = len(fields), len(fields[0])
-    parts: List[Optional[str]] = [None] * (2 * width * rows)
-    parts[1::2] = ([","] * (width - 1) + ["\n"]) * rows
-    for j, field in enumerate(fields):
-        parts[2 * j :: 2 * width] = field
-    return "".join(parts)
+def _node_table_input(
+    grid: DyadicGrid, columns: Sequence[np.ndarray], blocks: range
+) -> Iterator[List[memoryview]]:
+    """The stdin of a ``tablerows`` helper that formats the node blocks
+    ``blocks`` of ``_node_tables``."""
+    return helper_input(_lattice_lines(grid), grid.nodes, columns, blocks, geometry._BLOCK)
 
 
 def field_csv(fld: ScalarField) -> str:
     """CSV body ``x,y,value``, one row per node in grid order, (n2, n1), every
     float written as its Python ``repr`` (the shortest round-trip form); the
     columns equal the ``x,y,g`` columns of ``mapping.map_csv``."""
-    return "".join(text for text, in _node_tables(fld.grid, (fld.values,), FIELD_TABLE))
+    columns = (fld.values[:, None],)
+    return "".join(text for text, in _node_tables(fld.grid, columns, FIELD_TABLE))

@@ -18,7 +18,14 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .dirichlet import DEFAULT_TOL, ScalarField, _node_tables, boundary_data, solve_dirichlet
+from .dirichlet import (
+    DEFAULT_TOL,
+    ScalarField,
+    _node_table_input,
+    _node_tables,
+    boundary_data,
+    solve_dirichlet,
+)
 from .errors import ClosureFailure, OutsideGrid
 from .geometry import Domain, DyadicGrid, build_grid, spanning_fill
 
@@ -419,13 +426,24 @@ def eval_derivative(m: ConformalMap, z, with_flag: bool = False):
     return (deriv, flag) if with_flag else deriv
 
 
+def _table_columns(m: ConformalMap) -> Tuple[np.ndarray, ...]:
+    # views, no copies: reH and imH interleave in the complex values
+    reim = np.ascontiguousarray(m.values).view(np.float64).reshape(-1, 2)
+    return (m.potential.values[:, None], m.conjugate.values[:, None], reim)
+
+
 def node_tables(m: ConformalMap, *tables: Tuple[str, int]) -> Iterator[Tuple[str, ...]]:
     """Stream node tables of the map as ``dirichlet._node_tables`` does, over
     the columns g, gconj, reH, imH: ``MAP_TABLE`` is map.csv, and
     ``dirichlet.FIELD_TABLE`` is field.csv of the potential, since g is the
     first column."""
-    cols = (m.potential.values, m.conjugate.values, m.values.real, m.values.imag)
-    return _node_tables(m.grid, cols, *tables)
+    return _node_tables(m.grid, _table_columns(m), *tables)
+
+
+def node_table_input(m: ConformalMap, blocks: range) -> Iterator[list]:
+    """The input of a helper that formats the node blocks ``blocks`` of
+    ``node_tables``, as ``dirichlet._node_table_input`` streams it."""
+    return _node_table_input(m.grid, _table_columns(m), blocks)
 
 
 def map_csv(m: ConformalMap) -> str:

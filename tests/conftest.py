@@ -6,9 +6,12 @@ session-scoped cache keyed by (domain name, level, shift).
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
-from discmap import build_grid, build_map, load_domain, normalize_origin
+from discmap import build_grid, build_map, cli, load_domain, normalize_origin, tablerows
 
 DOMAIN_SPECS = {
     "disc": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
@@ -68,3 +71,32 @@ def map_for(domains):
         return cache[key]
 
     return get
+
+
+class TableHelpers:
+    """Sets the CPU count that the table writer of ``discmap solve`` reads
+    and records the helper interpreters it starts, in ``procs``."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.procs = []
+        init = cli._TableHelper.__init__
+
+        def record(helper, *args):
+            init(helper, *args)
+            self.procs.append(helper.proc)
+
+        monkeypatch.setattr(cli._TableHelper, "__init__", record)
+
+    def cpus(self, n):
+        cpus = set(range(n))
+        self.monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+    def script(self, path):
+        """Run ``path`` in place of the helper script."""
+        self.monkeypatch.setattr(tablerows, "command", lambda widths, fds: [sys.executable, path])
+
+
+@pytest.fixture
+def table_helpers(monkeypatch):
+    return TableHelpers(monkeypatch)

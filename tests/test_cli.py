@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from discmap import dirichlet, geometry, mapping
+from discmap import cli, dirichlet, geometry, mapping
 from discmap.cli import _write_tables, main
 
 DISC = '{"type": "disc", "center": [0.0, 0.0], "radius": 1.0}'
@@ -60,23 +61,107 @@ def test_solve_rerun_byte_identical(disc_file, tmp_path):
         ).read_bytes()
 
 
-def test_failed_table_write_keeps_older_tables(disc_file, tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    assert _run("solve", "--domain", disc_file, "--level", "3", "--out", str(out)) == 0
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+class Abort(BaseException):
+    """Stands for KeyboardInterrupt or SystemExit, which no handler catches."""
+
+
+def _assert_reaped(procs):
+    for proc in procs:
+        assert proc.returncode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, os.WNOHANG)
+
+
+def _fail_after_first_block(monkeypatch, exc):
     node_tables = mapping._node_tables
 
     def fail_after_first_block(*args):
         chunks = node_tables(*args)
         yield next(chunks)  # the header lines
         yield next(chunks)
-        raise RuntimeError("table writer failed")
+        raise exc("table writer failed")
 
     monkeypatch.setattr(geometry, "_BLOCK", 7)
     monkeypatch.setattr(mapping, "_node_tables", fail_after_first_block)
-    with pytest.raises(RuntimeError, match="table writer failed"):
+
+
+def test_failed_table_write_keeps_older_tables(disc_file, tmp_path, monkeypatch, table_helpers):
+    _check_failed_table_write(disc_file, tmp_path, monkeypatch, table_helpers, RuntimeError)
+
+
+def test_interrupted_table_write_keeps_older_tables(
+    disc_file, tmp_path, monkeypatch, table_helpers
+):
+    _check_failed_table_write(disc_file, tmp_path, monkeypatch, table_helpers, Abort)
+
+
+def _check_failed_table_write(disc_file, tmp_path, monkeypatch, table_helpers, exc):
+    out = tmp_path / "out"
+    assert _run("solve", "--domain", disc_file, "--level", "3", "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # three parts: this process fails inside the first, two helpers format the rest
+    table_helpers.cpus(3)
+    _fail_after_first_block(monkeypatch, exc)
+    with pytest.raises(exc, match="table writer failed"):
         _run("solve", "--domain", disc_file, "--level", "4", "--out", str(out))
-    # same names, so no temporary file is left; same bytes in each file
+    # same names, so no temporary or helper file is left; same bytes in each file
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert len(table_helpers.procs) == 2
+    _assert_reaped(table_helpers.procs)
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, Abort])
+def test_failed_table_write_kills_running_helpers(
+    disc_file, tmp_path, monkeypatch, table_helpers, exc
+):
+    out = tmp_path / "out"
+    assert _run("solve", "--domain", disc_file, "--level", "3", "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    hang = tmp_path / "hang.py"
+    hang.write_text("import time\ntime.sleep(60)\n")
+    table_helpers.script(hang)
+    table_helpers.cpus(3)
+    _fail_after_first_block(monkeypatch, exc)
+    with pytest.raises(exc, match="table writer failed"):
+        _run("solve", "--domain", disc_file, "--level", "4", "--out", str(out))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [proc.returncode for proc in table_helpers.procs] == [-signal.SIGKILL] * 2
+    _assert_reaped(table_helpers.procs)
+
+
+def test_failed_table_helper_keeps_older_tables(
+    disc_file, tmp_path, monkeypatch, table_helpers, capsys
+):
+    out = tmp_path / "out"
+    assert _run("solve", "--domain", disc_file, "--level", "3", "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    broken = tmp_path / "broken.py"
+    broken.write_text("import sys\nsys.stderr.write('helper broke\\n')\nsys.exit(3)\n")
+    table_helpers.script(broken)
+    table_helpers.cpus(2)
+    monkeypatch.setattr(geometry, "_BLOCK", 7)
+    capsys.readouterr()
+    # an OSError, so solve exits as on any failed write
+    assert _run("solve", "--domain", disc_file, "--level", "4", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "exited with status 3" in err and "helper broke" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert len(table_helpers.procs) == 1
+    _assert_reaped(table_helpers.procs)
+
+
+def test_failed_summary_write_keeps_older_artifacts(disc_file, tmp_path, monkeypatch):
+    # summary.json is renamed into place with the tables, so a failure
+    # while it is written leaves no newer table beside the older summary
+    out = tmp_path / "out"
+    assert _run("solve", "--domain", disc_file, "--level", "3", "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def fail(*args, **kwargs):
+        raise OSError("summary write failed")
+
+    monkeypatch.setattr(cli.json, "dumps", fail)
+    assert _run("solve", "--domain", disc_file, "--level", "4", "--out", str(out)) == 2
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

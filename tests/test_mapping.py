@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -324,11 +325,16 @@ def _map_csv_reference(m):
 
 @pytest.mark.parametrize("name", DOMAIN_NAMES)
 @pytest.mark.parametrize("level", [4, 5, 6])
-def test_node_tables_match_per_row_writers(map_for, monkeypatch, tmp_path, name, level):
+def test_node_tables_match_per_row_writers(
+    map_for, monkeypatch, table_helpers, tmp_path, name, level
+):
     # shifts: none, a dyadic one, and one whose coordinates are not
     # lattice-exact; a block of 7 rows puts block seams inside every table.
     # The one-pass writer of `discmap solve` must write the same bytes.
+    # One CPU keeps it in this process, set per shift since undo() below
+    # clears it; the next test splits the tables over CPUs
     for shift in (0.0, 2.0**-level / 16, 0.001):
+        table_helpers.cpus(1)
         m = map_for(name, level, shift)
         field_ref, map_ref = _field_csv_reference(m.potential), _map_csv_reference(m)
         for block in (geometry._BLOCK, 7):
@@ -345,6 +351,29 @@ def test_node_tables_match_per_row_writers(map_for, monkeypatch, tmp_path, name,
         assert len(field_rows) == len(map_rows) == m.grid.node_count
         for f_row, m_row in zip(field_rows, map_rows):
             assert ",".join(m_row.split(",")[:3]) == f_row
+
+
+def test_node_tables_match_per_row_writers_in_parts(map_for, monkeypatch, table_helpers, tmp_path):
+    # at 1, 2 and 3 CPUs the writer splits the node blocks into as many
+    # ranges, at most one per block: this process formats the first and a
+    # helper interpreter each other.  Blocks of 7 rows give every count;
+    # at level 4 the default block holds the grid, so that is one range.
+    # One domain: each helper takes about 11 ms to start
+    level = 4
+    for shift in (0.0, 2.0**-level / 16, 0.001):
+        m = map_for("ell", level, shift)
+        refs = [_field_csv_reference(m.potential).encode(), _map_csv_reference(m).encode()]
+        for block in (geometry._BLOCK, 7):
+            monkeypatch.setattr(geometry, "_BLOCK", block)
+            blocks = -(-m.grid.node_count // block)
+            for cpus in (1, 2, 3):
+                table_helpers.cpus(cpus)
+                started = len(table_helpers.procs)
+                assert _write_tables(m, str(tmp_path)) == ["field.csv", "map.csv"]
+                assert len(table_helpers.procs) - started == min(cpus, blocks) - 1
+                assert sorted(os.listdir(tmp_path)) == ["field.csv", "map.csv"]
+                assert [(tmp_path / n).read_bytes() for n in ("field.csv", "map.csv")] == refs
+    assert all(proc.returncode == 0 for proc in table_helpers.procs)
 
 
 def test_build_map_accepts_shift():
