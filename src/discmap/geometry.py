@@ -454,7 +454,8 @@ def _corner_cells(occ: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 def _window_index(mask: np.ndarray) -> np.ndarray:
     """Window table numbering the entries of ``mask`` 0, 1, ... in (n2, n1)
-    order, which is the C order of ``mask.T``; -1 where mask is False."""
+    order, which is the C order of ``mask.T``; -1 where mask is False.
+    int64, so the tables gathered from it are too."""
     table = np.full(mask.shape, -1, dtype=np.int64)
     table.T[mask.T] = np.arange(np.count_nonzero(mask))
     return table
@@ -476,9 +477,11 @@ class DyadicGrid:
     """Covered region at one refinement level; immutable after construction.
 
     ``cells`` and ``nodes`` hold integer lattice coordinates sorted
-    lexicographically by (n2, n1).  ``cell_rows`` and ``node_rows`` turn
-    lattice coordinates back into rows; the window tables behind them are
-    offset by (n1lo, n2lo) and private to this module.  A node is a corner
+    lexicographically by (n2, n1); ``cells`` is not stored but read off
+    ``nodes`` at each cell's SW corner.  ``cell_rows`` and ``node_rows``
+    turn lattice coordinates back into rows; the window tables behind them
+    are int32, offset by (n1lo, n2lo) and private to this module, and
+    ``_cell_at`` is their one scalar lookup.  A node is a corner
     of one to four cells, and its arm toward a neighbor exists when one of
     the two cells flanking that lattice segment is present; a node is
     interior when all four cells are.  An arm is a rim edge when exactly
@@ -490,14 +493,13 @@ class DyadicGrid:
     domain: Domain
     level: int
     shift: float
-    cells: np.ndarray  # (C, 2) int64
     nodes: np.ndarray  # (V, 2) int64
     interior: np.ndarray  # (V,) bool, corner of four cells
     neighbors: np.ndarray  # (V, 4) int64 rows W, E, S, N; -1 when absent
     cell_corners: np.ndarray  # (C, 4) int64 node rows SW, SE, NW, NE
     rim: np.ndarray  # (E, 2) int64 node rows [start, end] of the rim edges
-    _cell_row: np.ndarray  # cell window, -1 where no cell
-    _node_row: np.ndarray  # node window, one wider; -1 where no node
+    _cell_row: np.ndarray  # int32 cell window, -1 where no cell
+    _node_row: np.ndarray  # int32 node window, one wider; -1 where no node
     _n1lo: int
     _n2lo: int
 
@@ -506,8 +508,14 @@ class DyadicGrid:
         return 2.0**-self.level
 
     @property
+    def cells(self) -> np.ndarray:
+        """Lattice pairs (C, 2) of the cells' lower-left corners, the
+        nodes at their SW corners; built on each read, not stored."""
+        return self.nodes[self.cell_corners[:, 0]]
+
+    @property
     def cell_count(self) -> int:
-        return len(self.cells)
+        return len(self.cell_corners)
 
     @property
     def node_count(self) -> int:
@@ -528,14 +536,45 @@ class DyadicGrid:
     def cell_neighbors(self, steps) -> np.ndarray:
         """Rows of the cells one lattice step (d1, d2), each in {-1, 0, 1},
         from every cell, one column per step; -1 where no such cell exists.
-        No cell lies on the window's outer ring, where ``np.roll`` wraps."""
-        row = self._cell_row
+        No cell lies on the window's outer ring, where ``np.roll`` wraps.
+        The rows are int64, as numpy gathers with them fastest."""
+        row = self._cell_row.astype(np.int64)
         return np.column_stack([np.roll(row, (-d1, -d2), (0, 1)).T[row.T >= 0] for d1, d2 in steps])
 
     def node_rows(self, pairs) -> np.ndarray:
         """Rows of the nodes at the (M, 2) lattice pairs; -1 where no such
         node exists."""
         return _window_rows(self._node_row, (self._n1lo, self._n2lo), pairs)
+
+    def _cell_at(self, c1: int, c2: int) -> int:
+        """Row of the cell whose lower-left corner is the lattice pair
+        (c1, c2), in Python ints; -1 where no such cell exists."""
+        i1, i2 = c1 - self._n1lo, c2 - self._n2lo
+        w1, w2 = self._cell_row.shape
+        return self._cell_row.item(i1, i2) if 0 <= i1 < w1 and 0 <= i2 < w2 else -1
+
+    def _squares_at(self, x: float, y: float) -> Tuple[float, float, list]:
+        """Lattice coordinates (t1, t2) of the point (x, y) and the
+        lower-left corners of the closed lattice squares holding it: the
+        floor square, then its west, south and south-west neighbors across
+        the faces the point lies on.  No square for a point beyond the
+        window, where no cell lies, not finite ones included."""
+        h = self.spacing
+        t1 = (x - self.shift) / h
+        t2 = (y - self.shift) / h
+        (w1, w2), lo1, lo2 = self._cell_row.shape, self._n1lo, self._n2lo
+        # the test is False for nan as well
+        if not (lo1 <= t1 <= lo1 + w1 and lo2 <= t2 <= lo2 + w2):
+            return t1, t2, []
+        b1, b2 = math.floor(t1), math.floor(t2)
+        squares = [(b1, b2)]
+        if t1 == b1:
+            squares.append((b1 - 1, b2))
+        if t2 == b2:
+            squares.append((b1, b2 - 1))
+            if t1 == b1:
+                squares.append((b1 - 1, b2 - 1))
+        return t1, t2, squares
 
     def covers_point_interior(self, point: Point) -> bool:
         """True when the point is interior to the union of closed cells.
@@ -545,18 +584,20 @@ class DyadicGrid:
         the point sits inside a square, on an edge or on a node).  False
         for a point that is not finite.
         """
-        h = self.spacing
-        t1 = (point[0] - self.shift) / h
-        t2 = (point[1] - self.shift) / h
-        (w1, w2), lo1, lo2 = self._cell_row.shape, self._n1lo, self._n2lo
-        # no cell lies beyond the window; the test is False for nan as well
-        if not (lo1 <= t1 <= lo1 + w1 and lo2 <= t2 <= lo2 + w2):
-            return False
-        i1 = math.floor(t1)
-        i2 = math.floor(t2)
-        xs = [i1 - 1, i1] if t1 == i1 else [i1]
-        ys = [i2 - 1, i2] if t2 == i2 else [i2]
-        return bool((self.cell_rows([(a, b) for a in xs for b in ys]) >= 0).all())
+        squares = self._squares_at(point[0], point[1])[2]
+        return bool(squares) and all(self._cell_at(c1, c2) >= 0 for c1, c2 in squares)
+
+    def cells_at_node(self, node: int) -> list:
+        """(c1, c2, row) of each cell with the node of row ``node`` as a
+        corner, in Python ints: the cells SW, SE, NW and NE of it, in that
+        order, where present."""
+        n1, n2 = self.nodes[node].tolist()
+        out = []
+        for c1, c2 in ((n1 - 1, n2 - 1), (n1, n2 - 1), (n1 - 1, n2), (n1, n2)):
+            row = self._cell_at(c1, c2)
+            if row >= 0:
+                out.append((c1, c2, row))
+        return out
 
     def locate(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Map (M, 2) float points to (cell rows, u, v) local coordinates.
@@ -588,7 +629,7 @@ class DyadicGrid:
             if len(todo):
                 rows[todo] = self.cell_rows(np.column_stack([b1[todo] + d1, b2[todo] + d2]))
         found = rows >= 0
-        corner = self.cells[rows[found]]
+        corner = self.nodes[self.cell_corners[rows[found], 0]]
         u = np.zeros(len(points))
         v = np.zeros(len(points))
         u[found] = t1[found] - corner[:, 0]
@@ -604,20 +645,11 @@ class DyadicGrid:
         ``locate``, and u and v carry the same bits.  Row -1 for a point
         outside every cell, not finite ones included.
         """
-        h = self.spacing
-        t1 = (x - self.shift) / h
-        t2 = (y - self.shift) / h
-        table, lo1, lo2 = self._cell_row, self._n1lo, self._n2lo
-        w1, w2 = table.shape
-        # no cell lies beyond the window; the test is False for nan as well
-        if lo1 <= t1 <= lo1 + w1 and lo2 <= t2 <= lo2 + w2:
-            b1, b2 = math.floor(t1), math.floor(t2)
-            for c1, c2 in ((b1, b2), (b1 - 1, b2), (b1, b2 - 1), (b1 - 1, b2 - 1)):
-                on_faces = (c1 == b1 or t1 == b1) and (c2 == b2 or t2 == b2)
-                if on_faces and 0 <= c1 - lo1 < w1 and 0 <= c2 - lo2 < w2:
-                    row = table.item(c1 - lo1, c2 - lo2)
-                    if row >= 0:
-                        return row, t1 - c1, t2 - c2
+        t1, t2, squares = self._squares_at(x, y)
+        for c1, c2 in squares:
+            row = self._cell_at(c1, c2)
+            if row >= 0:
+                return row, t1 - c1, t2 - c2
         return -1, 0.0, 0.0
 
     @cached_property
@@ -672,8 +704,6 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
     nocc = sw | se | nw | ne  # nodes: corners of any cell
     cell_row = _window_index(ok)
     node_row = _window_index(nocc)
-    i2, i1 = np.nonzero(ok.T)
-    cells = np.column_stack([i1 + n1lo, i2 + n2lo])
     i2, i1 = np.nonzero(nocc.T)
     nodes = np.column_stack([i1 + n1lo, i2 + n2lo])
     interior = (sw & se & nw & ne).T[nocc.T]
@@ -702,14 +732,13 @@ def build_grid(domain: Domain, level: int, shift: float = 0.0) -> DyadicGrid:
         domain=domain,
         level=level,
         shift=shift,
-        cells=cells,
         nodes=nodes,
         interior=interior,
         neighbors=neighbors,
         cell_corners=cell_corners,
         rim=rim,
-        _cell_row=cell_row,
-        _node_row=node_row,
+        _cell_row=cell_row.astype(np.int32),
+        _node_row=node_row.astype(np.int32),
         _n1lo=n1lo,
         _n2lo=n2lo,
     )

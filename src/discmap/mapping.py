@@ -7,6 +7,12 @@ loop-closure defect around each plaquette equals the discrete Laplacian
 of g at the enclosed node, so closure holds to solver accuracy.  The
 additive constant is fixed so the interpolated conjugate vanishes at the
 origin, which makes H'(0) = exp(g(0)) real and positive.
+
+A ``ConformalMap`` stores only what it cannot cheaply derive.  The
+factor h = H / z is recomputed on each read; the node slopes, the rim
+table the winding count reads and the nearest-node index the inversion
+starts from are built on first use and kept with the map, so building a
+map, or solving with it, builds none of the probe tables.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from .geometry import Domain, DyadicGrid, build_grid, spanning_fill
 Point = Tuple[float, float]
 
 RIM_SAMPLES = 8
-INDEX_CHUNK = 64  # most nodes per chunk of the nearest-node index
+BUCKET_LOAD = 8  # nodes per bucket of the nearest-node index, on average
+INDEX_SLACK = 1e-12  # relative rounding allowance of the index's stop test
 MAP_TABLE = ("x,y,g,gconj,reH,imH", 4)  # (header, value columns) of map.csv
 ROOT_SLACK = 1e-12  # how far outside [0, 1] a cell coordinate may round
 
@@ -156,95 +163,196 @@ def _modulus_report(grid: DyadicGrid, values: np.ndarray) -> ModulusReport:
 
 
 @dataclass
+class RimTable:
+    """The rim polygon of one map as contiguous segment arrays.
+
+    Segment e runs from a = H at ``grid.rim[e, 0]`` to b = H at
+    ``grid.rim[e, 1]``, with d = b - a, its length |d|, |d|**2, and its
+    reach 2|d|: a point within |d| of the segment lies within 2|d| of a.
+    ``magnitude`` is the largest |a|, which scales the rounding of
+    distances to the segments.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
+    length: np.ndarray
+    length2: np.ndarray
+    reach: np.ndarray
+    magnitude: float
+
+    @classmethod
+    def build(cls, grid: DyadicGrid, values: np.ndarray) -> "RimTable":
+        a = values[grid.rim[:, 0]]
+        b = values[grid.rim[:, 1]]
+        d = b - a
+        length = np.abs(d)
+        return cls(
+            a=a,
+            b=b,
+            d=d,
+            length=length,
+            length2=length**2,
+            reach=2.0 * length,
+            magnitude=float(np.abs(a).max()),
+        )
+
+
+@dataclass
 class NodeIndex:
     """Exact nearest-node lookup over the node values H of one map.
 
-    Node rows, in (n2, n1) order, are cut into scanline chunks: at most
-    INDEX_CHUNK consecutive rows, broken where n2 changes or n1 jumps, so
-    each chunk is a short lattice segment and its H values stay close
-    together.  Each chunk keeps the bounding box of its H values.
+    The box of the H values is cut into a uniform grid of nx by ny
+    buckets, about BUCKET_LOAD nodes each (Bentley, Weide & Yao, ACM TOMS
+    6, 1980); the node count sets the grid.  ``order`` holds the node
+    rows sorted by bucket, bucket (ix, iy) at key iy * nx + ix, and rows
+    ascending within a bucket; bucket k holds ``order[starts[k]:
+    starts[k + 1]]``.  ``build`` keeps a ``grid`` argument for callers
+    but reads only the values.
     """
 
     values: np.ndarray  # complex H per node
-    starts: np.ndarray  # first row of each chunk
-    sizes: np.ndarray  # rows per chunk
-    re_lo: np.ndarray
-    re_hi: np.ndarray
-    im_lo: np.ndarray
-    im_hi: np.ndarray
+    order: np.ndarray  # int32 node rows, by bucket
+    starts: np.ndarray  # first position in order of each bucket, and the end
+    nx: int
+    ny: int
+    re_lo: float
+    im_lo: float
+    bx: float  # bucket width
+    by: float  # bucket height
+    scale: float  # largest |Re H| or |Im H|, plus the box's width and height
 
     @classmethod
     def build(cls, grid: DyadicGrid, values: np.ndarray) -> "NodeIndex":
-        n1, n2 = grid.nodes.T
-        run_start = np.ones(len(n1), dtype=bool)
-        run_start[1:] = (np.diff(n2) != 0) | (np.diff(n1) != 1)
-        first = np.flatnonzero(run_start)
-        pos = np.arange(len(n1)) - first[np.cumsum(run_start) - 1]
-        starts = np.flatnonzero(pos % INDEX_CHUNK == 0)
-        sizes = np.diff(np.append(starts, len(n1)))
         re, im = values.real, values.imag
-        return cls(
-            values=values,
-            starts=starts,
-            sizes=sizes,
-            re_lo=np.minimum.reduceat(re, starts),
-            re_hi=np.maximum.reduceat(re, starts),
-            im_lo=np.minimum.reduceat(im, starts),
-            im_hi=np.maximum.reduceat(im, starts),
-        )
+        re_lo, re_hi = float(re.min()), float(re.max())
+        im_lo, im_hi = float(im.min()), float(im.max())
+        wx, wy = re_hi - re_lo, im_hi - im_lo
+        target = max(1, len(values) // BUCKET_LOAD)
+        nx = ny = 1
+        if wx > 0.0 and wy > 0.0:
+            nx = max(1, round(math.sqrt(target * min(wx / wy, target))))
+            ny = max(1, target // nx)
+        elif wx > 0.0:
+            nx = target
+        elif wy > 0.0:
+            ny = target
+        bx = wx / nx if wx > 0.0 else 1.0
+        by = wy / ny if wy > 0.0 else 1.0
+        ix = np.minimum(((re - re_lo) / bx).astype(np.int64), nx - 1)
+        iy = np.minimum(((im - im_lo) / by).astype(np.int64), ny - 1)
+        key = iy * nx + ix
+        # numpy sorts integers of at most 16 bits stably by radix, in O(V)
+        order = np.argsort(key.astype(np.min_scalar_type(nx * ny - 1)), kind="stable").astype(np.int32)
+        starts = np.zeros(nx * ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=nx * ny), out=starts[1:])
+        scale = max(abs(re_lo), abs(re_hi), abs(im_lo), abs(im_hi)) + wx + wy
+        return cls(values, order, starts, nx, ny, re_lo, im_lo, bx, by, scale)
 
     def nearest(self, w: complex) -> int:
         """Row of the node whose H lies nearest w, the lowest such row on
         a tie: the row ``np.argmin(np.abs(values - w))`` gives.
 
-        The larger of the real and imaginary gaps from w to a chunk's box
-        bounds |H - w| below over the chunk, and it is computed from the
-        same rounded differences as |H - w|, so it never exceeds a node's
-        computed distance.  The chunk of least bound is scanned for a true
-        node distance d; only chunks whose bound is at most d can hold a
-        node as near, and their rows, in ascending order, are scanned for
-        the answer.
+        A query centres on the bucket holding w, or on the nearest edge
+        bucket for a w outside the box, and scans the 3 by 3 square of
+        buckets around it, then wider squares, ring by ring or by as many
+        rings as the best distance so far needs.  Distances are the same
+        rounded |H - w| a full scan computes.  It stops only when the best
+        distance is strictly below the distance from w to the buckets not
+        yet scanned, less INDEX_SLACK times the scale of the values and w,
+        which covers the rounding of the bucket bounds and of the
+        distances.  A square that covers every bucket scans every node.
         """
-        dx = np.maximum(np.maximum(self.re_lo - w.real, w.real - self.re_hi), 0.0)
-        dy = np.maximum(np.maximum(self.im_lo - w.imag, w.imag - self.im_hi), 0.0)
-        bound = np.maximum(dx, dy)
-        k = int(np.argmin(bound))
-        start = self.starts[k]
-        d = np.abs(self.values[start : start + self.sizes[k]] - w).min()
-        chunks = np.flatnonzero(bound <= d)
-        sizes = self.sizes[chunks]
-        rows = np.repeat(self.starts[chunks] - (np.cumsum(sizes) - sizes), sizes)
-        rows += np.arange(len(rows))
-        return int(rows[np.argmin(np.abs(self.values[rows] - w))])
+        x, y = w.real, w.imag
+        nx, ny = self.nx, self.ny
+        # clamped into the box first, so a huge w gives no huge ratio
+        cx = min(int(min(max(x - self.re_lo, 0.0), nx * self.bx) / self.bx), nx - 1)
+        cy = min(int(min(max(y - self.im_lo, 0.0), ny * self.by) / self.by), ny - 1)
+        slack = INDEX_SLACK * (self.scale + abs(x) + abs(y))
+        order, starts = self.order, self.starts
+        r = 1
+        while True:
+            x0, x1 = max(cx - r, 0), min(cx + r, nx - 1)
+            y0, y1 = max(cy - r, 0), min(cy + r, ny - 1)
+            if x0 == 0 and y0 == 0 and x1 == nx - 1 and y1 == ny - 1:
+                return int(np.argmin(np.abs(self.values - w)))
+            rows = np.concatenate(
+                [order[starts[k + x0] : starts[k + x1 + 1]] for k in range(y0 * nx, y1 * nx + 1, nx)]
+            )
+            if len(rows) == 0:
+                r += r // 2 + 1
+                continue
+            dist = np.abs(self.values[rows] - w)
+            best = dist.min()
+            gaps = []
+            if x0 > 0:
+                gaps.append(x - (self.re_lo + x0 * self.bx))
+            if x1 < nx - 1:
+                gaps.append(self.re_lo + (x1 + 1) * self.bx - x)
+            if y0 > 0:
+                gaps.append(y - (self.im_lo + y0 * self.by))
+            if y1 < ny - 1:
+                gaps.append(self.im_lo + (y1 + 1) * self.by - y)
+            if best < min(gaps) - slack:
+                return int(rows[dist == best].min())
+            # a radius of nx + ny buckets covers them all, whatever the start
+            side = min(self.bx, self.by)
+            r = max(r + 1, math.ceil(min(best + slack, (nx + ny) * side) / side) + 1)
 
 
 @dataclass
 class ConformalMap:
     """Immutable bundle of the assembled disc map on one grid.
 
-    ``values`` holds H at the nodes, ``factor`` the nonvanishing h with
-    H = z * h.  ``slope_x``/``slope_y`` are node derivatives of g used by
-    ``eval_derivative``; ``one_sided`` marks nodes where a rim-adjacent
-    one-sided difference replaced the central one.  ``modulus`` is the
-    rim-modulus report, built once with the map; ``node_index`` is the
-    nearest-node index, built on first use.
+    ``values`` holds H at the nodes, and ``modulus`` the rim-modulus
+    report, built once with the map.  The rest is derived and held only
+    once read:
+    - ``factor``, the nonvanishing h with H = z * h, is recomputed on
+      each read, exp(g + i gconj), the expression that made ``values``;
+    - ``slope_x``/``slope_y`` are node derivatives of g used by
+      ``eval_derivative``, and ``one_sided`` marks nodes where a
+      rim-adjacent one-sided difference replaced the central one; the
+      three are computed together on first use and kept;
+    - ``rim_table``, the rim segments the winding reads, and
+      ``node_index``, the nearest-node index, are built on first use
+      and kept.
     """
 
     grid: DyadicGrid
     potential: ScalarField
     conjugate: ScalarField
-    factor: np.ndarray  # complex h per node
     values: np.ndarray  # complex H per node
     closure_residual: float
-    slope_x: np.ndarray
-    slope_y: np.ndarray
-    one_sided: np.ndarray  # bool per node
     modulus: ModulusReport
     tol: float = DEFAULT_TOL
 
     @property
     def domain(self) -> Domain:
         return self.grid.domain
+
+    @property
+    def factor(self) -> np.ndarray:
+        return np.exp(self.potential.values + 1j * self.conjugate.values)
+
+    @cached_property
+    def _slopes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _node_slopes(self.grid, self.potential.values)
+
+    @property
+    def slope_x(self) -> np.ndarray:
+        return self._slopes[0]
+
+    @property
+    def slope_y(self) -> np.ndarray:
+        return self._slopes[1]
+
+    @property
+    def one_sided(self) -> np.ndarray:  # bool per node
+        return self._slopes[2]
+
+    @cached_property
+    def rim_table(self) -> RimTable:
+        return RimTable.build(self.grid, self.values)
 
     @cached_property
     def node_index(self) -> NodeIndex:
@@ -285,21 +393,18 @@ def assemble_map(
     value at the origin is zero; H'(0) = exp(g(0)) is then real positive.
     """
     conj_values = conj.values - _bilinear_point(grid, 0.0, 0.0, conj.values)
-    factor = np.exp(pot.values + 1j * conj_values)
     pts = grid.node_points()
     z = pts[:, 0] + 1j * pts[:, 1]
+    # factor is named, not a temporary: numpy may write a product into a
+    # temporary operand's buffer, and that path can round differently
+    factor = np.exp(pot.values + 1j * conj_values)
     values = z * factor
-    sx, sy, fallback = _node_slopes(grid, pot.values)
     return ConformalMap(
         grid=grid,
         potential=pot,
         conjugate=ScalarField(grid=grid, values=conj_values, residual=conj.residual),
-        factor=factor,
         values=values,
         closure_residual=conj.residual,
-        slope_x=sx,
-        slope_y=sy,
-        one_sided=fallback,
         modulus=_modulus_report(grid, values),
         tol=tol,
     )
@@ -362,11 +467,7 @@ def _preimages_at_node(
     ratio of the two.  A u or v within ROOT_SLACK of [0, 1] is clamped
     into it; a degenerate cell yields nothing.
     """
-    n1, n2 = grid.nodes[node].tolist()
-    pairs = [(n1 - 1, n2 - 1), (n1, n2 - 1), (n1 - 1, n2), (n1, n2)]
-    for (c1, c2), row in zip(pairs, grid.cell_rows(pairs).tolist()):
-        if row < 0:
-            continue
+    for c1, c2, row in grid.cells_at_node(node):
         h0, h1, h2, h3 = map(values.item, grid.cell_corners[row].tolist())
         e, f, g, d = h1 - h0, h2 - h0, h3 - h2 - h1 + h0, w - h0
         a = (g.conjugate() * e).imag  # cross products, Im(conj(p) q)

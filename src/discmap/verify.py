@@ -9,6 +9,11 @@ When some rim segment passes within its own length of w the whole
 construction is redone on a shifted grid, since a preimage sitting on
 the rim makes the count ill-defined; the final acceptance rule is
 closeness of the raw winding to an integer.
+
+Probes read two tables of the map, each built on first use: the rim
+table of segment ends, differences and lengths (``ConformalMap.rim_table``)
+and the bucketed nearest-node index (``ConformalMap.node_index``), so no
+probe recomputes what belongs to the map.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ Point = Tuple[float, float]
 
 MAX_SHIFT_ATTEMPTS = 5
 INTEGER_SLACK = 0.1
+REACH_SLACK = 1e-12  # relative rounding allowance of the hazard's reach test
 
 
 def _own_grid(m: ConformalMap, grid: Optional[DyadicGrid]) -> DyadicGrid:
@@ -59,7 +65,10 @@ def _finite(w) -> complex:
 def max_node_derivative(m: ConformalMap) -> float:
     pts = m.grid.node_points()
     z = pts[:, 0] + 1j * pts[:, 1]
-    deriv = m.factor * (1.0 + z * (m.slope_x - 1j * m.slope_y))
+    # a named array, as at assembly: numpy may write a product into a
+    # temporary operand's buffer, and that path can round differently
+    factor = m.factor
+    deriv = factor * (1.0 + z * (m.slope_x - 1j * m.slope_y))
     return float(np.abs(deriv).max())
 
 
@@ -67,20 +76,31 @@ def _winding(m: ConformalMap, w: complex) -> Tuple[float, bool]:
     """Raw winding of the rim polygon about w, and the hazard flag.
 
     Segment e runs from a = H at ``m.grid.rim[e, 0]`` to b = H at
-    ``m.grid.rim[e, 1]``.  A segment a->b that misses w subtends an angle
-    below pi there, so its principal angle Arg((b - w)/(a - w)) is its
-    exact contribution and segment order never matters.  The hazard fires
-    when w lies closer to some segment than that segment's length |b - a|:
-    the shifted lattices of the ladder move the rim by up to about one
-    cell, and one rim cell's image there has side about |b - a|, so a w
-    that close may change side under a shift and its count is not trusted
-    without one.
+    ``m.grid.rim[e, 1]``; ``m.rim_table`` holds both, with d = b - a and
+    its length, built on the map's first count.  A segment a->b that
+    misses w subtends an angle below pi there, so its principal angle
+    Arg((b - w)/(a - w)) is its exact contribution and segment order
+    never matters.  The hazard fires when w lies closer to some segment
+    than that segment's length |d|: the shifted lattices of the ladder
+    move the rim by up to about one cell, and one rim cell's image there
+    has side about |d|, so a w that close may change side under a shift
+    and its count is not trusted without one.
+
+    A segment within |d| of w has its start a within 2|d| of w, so the
+    distance to the segment is computed only where |a - w| is below 2|d|
+    plus a slack of REACH_SLACK * (1 + max|a| + |w|).  Each distance
+    rounds by a few ulps of that scale, far below the slack, so the flag
+    is the one the test over every segment gives.
     """
-    a, b = m.values[m.grid.rim].T
-    raw = float(np.angle((b - w) / (a - w)).sum() / (2.0 * math.pi))
-    d = b - a
-    length = np.abs(d)
-    t = np.clip(((w - a) * d.conj()).real / length**2, 0.0, 1.0)
+    rim = m.rim_table
+    aw = rim.a - w
+    raw = float(np.angle((rim.b - w) / aw).sum() / (2.0 * math.pi))
+    slack = REACH_SLACK * (1.0 + rim.magnitude + abs(w))
+    near = np.flatnonzero(np.abs(aw) < rim.reach + slack)
+    if len(near) == 0:
+        return raw, False
+    a, d, length = rim.a[near], rim.d[near], rim.length[near]
+    t = np.clip(((w - a) * d.conj()).real / rim.length2[near], 0.0, 1.0)
     return raw, bool((np.abs(a + t * d - w) < length).any())
 
 

@@ -177,6 +177,21 @@ def test_table_writer_holds_one_block_at_a_time(map_for, tmp_path, monkeypatch):
     assert peak < (tmp_path / "map.csv").stat().st_size / 2
 
 
+def test_solve_builds_no_probe_tables(disc_file, tmp_path, monkeypatch):
+    # solve counts no preimages and inverts nothing, so it builds neither
+    # the rim table nor the nearest-node index
+    built = []
+
+    def build_and_keep(*args, **kwargs):
+        built.append(mapping.build_map(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_map", build_and_keep)
+    assert _run("solve", "--domain", disc_file, "--level", "4", "--out", str(tmp_path / "out")) == 0
+    assert len(built) == 1
+    assert not {"rim_table", "node_index"} & set(vars(built[0]))
+
+
 def test_verify_writes_report(square_file, tmp_path):
     out = str(tmp_path / "v")
     code = _run(

@@ -334,6 +334,17 @@ def test_cell_and_node_rows_match_brute_force():
         assert lookup(far).tolist() == [-1, -1, -1, -1]
 
 
+def test_cells_at_node_lists_the_cells_with_that_corner():
+    ell = {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}
+    g = build_grid(normalize_origin(load_domain(ell)), 4, shift=2.0**-4 / 3)
+    expected = [[] for _ in range(g.node_count)]
+    # a node is the NE (slot 3) corner of the cell SW of it, and so on
+    for slot in (3, 2, 1, 0):
+        for row, node in enumerate(g.cell_corners[:, slot].tolist()):
+            expected[node].append((*g.cells[row].tolist(), row))
+    assert [g.cells_at_node(node) for node in range(g.node_count)] == expected
+
+
 def test_spanning_fill_rejects_disconnected_graph():
     two_pairs = np.array([[1, -1], [0, -1], [3, -1], [2, -1]])
     with pytest.raises(ValueError):

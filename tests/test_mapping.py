@@ -391,3 +391,39 @@ def test_closure_residual_recorded(map_for):
     assert m.closure_residual >= 0.0
     g = np.abs(m.potential.values).max()
     assert m.closure_residual <= 1e-6 * (1.0 + g)
+
+
+def _held_bytes(*objs) -> int:
+    """Bytes of the ndarrays the objects hold as attributes, each buffer
+    counted once, at its full size when an attribute is a view."""
+    buffers = {}
+    for obj in objs:
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                base = value.base if isinstance(value.base, np.ndarray) else value
+                buffers[id(base)] = base.nbytes
+    return sum(buffers.values())
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_built_map_holds_at_most_130_bytes_per_node(domains, name):
+    # what the map cannot cheaply derive: the grid's tables, g, gconj and H
+    m = build_map(domains[name], 6)
+    held = _held_bytes(m, m.grid, m.potential, m.conjugate)
+    assert held <= 130 * m.grid.node_count
+
+
+def test_built_map_holds_no_derived_tables(domains):
+    m = build_map(domains["ell"], 4)
+    assert not {"rim_table", "node_index", "_slopes", "factor"} & set(vars(m))
+    assert "cells" not in vars(m.grid)
+    # factor is recomputed on each read, with the bits that made H = z * h
+    pts = m.grid.node_points()
+    z = pts[:, 0] + 1j * pts[:, 1]
+    factor = m.factor
+    assert np.array_equal(z * factor, m.values)
+    assert "factor" not in vars(m)
+    # the slopes are computed once, on first read
+    slopes = m.slope_x, m.slope_y, m.one_sided
+    assert "_slopes" in vars(m)
+    assert all(a is b for a, b in zip(slopes, (m.slope_x, m.slope_y, m.one_sided)))

@@ -28,7 +28,7 @@ from discmap import (
 from discmap import build_map, load_domain, mapping, normalize_origin
 from discmap.dirichlet import DEFAULT_TOL
 from discmap.mapping import NodeIndex, eval_map
-from discmap.verify import max_node_derivative
+from discmap.verify import _winding, max_node_derivative
 
 CLI_PROBES = (0j, 1.1 + 0j, -1.1 + 0j, 1.1j, -1.1j)
 
@@ -514,3 +514,85 @@ def test_foreign_grid_is_rejected(map_for):
             call()
     assert count_preimages(m5, m5.grid, 0j).count == 1
     assert count_preimages(m5, None, 0j).count == 1
+
+
+def _winding_over_every_segment(m, w):
+    """The raw winding and hazard flag with the hazard test run on every
+    rim segment, gathered from ``m.values``: the reference for the rim
+    table's filtered test."""
+    a, b = m.values[m.grid.rim].T
+    raw = float(np.angle((b - w) / (a - w)).sum() / (2.0 * math.pi))
+    d = b - a
+    length = np.abs(d)
+    t = np.clip(((w - a) * d.conj()).real / length**2, 0.0, 1.0)
+    return raw, bool((np.abs(a + t * d - w) < length).any())
+
+
+def _near_rim_probes(m, seed, count):
+    """Seeded w on rim segments (ends excluded) and 1e-15 to 1e-3 off
+    them, plus w on, beside and just inside or outside the reach of the
+    map's shortest segments."""
+    rng = np.random.default_rng(seed)
+    a, b = m.values[m.grid.rim].T
+    e = rng.integers(0, len(a), count)
+    on = a[e] + rng.uniform(0.01, 0.99, count) * (b[e] - a[e])
+    off = 10.0 ** rng.uniform(-15.0, -3.0, count) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
+    ws = [*on, *(on + off)]
+    for k in np.argsort(np.abs(b - a), kind="stable")[:8].tolist():
+        d = b[k] - a[k]
+        normal = 1j * d / abs(d)
+        for t in (0.25, 0.5, 0.75):
+            p = a[k] + t * d
+            ws += [p, p + 1e-15 * normal]
+            ws += [p + s * abs(d) * normal * f for s in (1, -1) for f in (0.999999, 1.0, 1.000001)]
+        ws += [a[k] - 2.0 * d * f for f in (0.999999, 1.000001)]
+    return [complex(w) for w in ws]
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_filtered_hazard_matches_every_segment_test(map_for, name):
+    for level, shift in ((4, 0.0), (6, 2.0**-6 / 16)):
+        m = map_for(name, level, shift)
+        fired = 0
+        for w in _near_rim_probes(m, level, 300):
+            got = _winding(m, w)
+            assert got == _winding_over_every_segment(m, w)
+            fired += got[1]
+        assert fired > 0
+
+
+def test_rim_table_and_node_index_follow_the_map_values(map_for):
+    m = map_for("offset_disc", 5)
+    count_preimages(m, None, 0.1j)
+    inverse_map(m, None, 0.1j)
+    assert {"rim_table", "node_index"} <= set(vars(m))
+    flipped = replace(m, values=np.conj(m.values))
+    assert not {"rim_table", "node_index"} & set(vars(flipped))
+    rng = np.random.default_rng(3)
+    ws = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, 40)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 40))
+    for w in map(complex, ws):
+        raw, hazard = _winding_over_every_segment(flipped, w)
+        res = count_preimages(flipped, None, w)
+        assert (res.raw, res.hazard, res.count) == (raw, hazard, -1)
+        assert flipped.node_index.nearest(w) == np.argmin(np.abs(flipped.values - w))
+    assert flipped.rim_table is not m.rim_table
+    assert flipped.node_index is not m.node_index
+
+
+@pytest.mark.parametrize("name", ("disc", "square", "ell"))
+def test_node_index_outside_the_box_and_in_empty_buckets(map_for, name):
+    m = map_for(name, 5)
+    index = NodeIndex.build(m.grid, m.values)
+    re, im = m.values.real, m.values.imag
+    lo = complex(re.min(), im.min())
+    hi = complex(re.max(), im.max())
+    outside = [
+        hi + 1e-12, lo - 1e-12j, hi + (0.3 + 0.3j), lo - 0.3, complex(hi.real + 1e6, 0.0),
+        complex(0.0, lo.imag - 2.0), complex(lo.real - 1e-3, hi.imag + 1e-3), -1e300 + 1e300j,
+    ]
+    empty = np.flatnonzero(np.diff(index.starts) == 0)
+    assert len(empty) > 0
+    iy, ix = np.divmod(empty, index.nx)
+    centers = index.re_lo + (ix + 0.5) * index.bx + 1j * (index.im_lo + (iy + 0.5) * index.by)
+    for w in [*outside, *centers.tolist()]:
+        assert index.nearest(complex(w)) == np.argmin(np.abs(m.values - w))
